@@ -8,6 +8,12 @@ Singleton-achieving value on the strength of the defining property of
 Gabidulin codes over cyclic extensions.  The Hamming distance, which the
 claim forces to be maximal as well, IS measured exactly through a sweep of
 column-subset ranks, giving a falsifiable consequence for every claim.
+
+Every nonzero or full-rank verdict (det T, point independence, each minor of
+the sweep) is proved either by a nonzero image in F_q under zeta -> omega or
+by the exact computation; an image of zero is always decided again exactly,
+so verdicts, ``checked_minors`` and the certificate bytes do not depend on
+the fast path.  q depends only on p and is not recorded.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .construction import ConstructionResult, construct, is_independent
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, fq_image, is_invertible, proves_full_row_rank
 from .cyclotomic import GaloisContext
 from .supports import SupportSpec, check_condition, required_dimension
 
@@ -107,10 +113,14 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     A nonzero codeword vanishing on a column set J exists iff the columns in
     J have rank below k, and such J are closed under taking subsets; the
     distance is therefore n - s + 1 for the first size s at which every
-    s-subset has full rank.
+    s-subset has full rank.  The matrix is reduced to F_q once; a subset
+    whose image has full rank is proved full, and only the others are
+    decided by the exact determinant or rank.
     """
     k, n = matrix.rows, matrix.cols
-    if matrix.rank() < k:
+    q = matrix.ctx.modulus
+    image = fq_image(matrix)
+    if not proves_full_row_rank(image, q) and matrix.rank() < k:
         raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
     checks = 0
     for s in range(k, n + 1):
@@ -119,6 +129,8 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
             checks += 1
             if checks > max_checks:
                 raise ValueError(f"column-subset budget {max_checks} exceeded")
+            if proves_full_row_rank(image, q, cols):
+                continue
             sub = matrix.column_subset(cols)
             full = bool(sub.det()) if s == k else sub.rank() == k
             if not full:
@@ -134,6 +146,39 @@ def hamming_distance(matrix: ExactMatrix, max_checks: int = DEFAULT_MAX_CHECKS) 
     return _distance_sweep(matrix, max_checks)[0]
 
 
+def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSpec,
+             distance: int, basis: str, ell: int | None, check_minors: bool,
+             max_checks: int) -> Certificate:
+    """Check the three premises exactly and claim ``distance`` under ``basis``;
+    with ``check_minors`` the measured Hamming distance must equal it."""
+    support_ok = verify_support(generator, spec)
+    t_invertible = is_invertible(result.transform)
+    points_independent = is_independent(result.points.elements)
+
+    hamming: int | None = None
+    claimed: int | None = None
+    tag: str | None = None
+    checks = 0
+    if support_ok and t_invertible and points_independent:
+        if check_minors:
+            hamming, checks = _distance_sweep(generator, max_checks)
+        if hamming is None or hamming == distance:
+            claimed, tag = distance, basis
+
+    return Certificate(
+        support_ok=support_ok,
+        t_invertible=t_invertible,
+        points_independent=points_independent,
+        hamming_distance=hamming,
+        claimed_rank_distance=claimed,
+        rank_distance_basis=tag,
+        ell=ell,
+        checked_minors=checks,
+        spec_sha256=_sha256_of(spec.to_obj()),
+        matrix_sha256=_sha256_of(generator.to_obj()),
+    )
+
+
 def certify_mrd(result: ConstructionResult, spec: SupportSpec | None = None,
                 check_minors: bool = True,
                 max_checks: int = DEFAULT_MAX_CHECKS) -> Certificate:
@@ -146,37 +191,8 @@ def certify_mrd(result: ConstructionResult, spec: SupportSpec | None = None,
     failing certificate rather than an exception.
     """
     target = spec if spec is not None else result.completed
-    n, k = target.n, target.k
-    support_ok = verify_support(result.generator, target)
-    t_invertible = bool(result.transform.det())
-    points_independent = is_independent(result.points.elements)
-
-    hamming: int | None = None
-    claimed: int | None = None
-    basis: str | None = None
-    checks = 0
-    if support_ok and t_invertible and points_independent:
-        if check_minors:
-            hamming, checks = _distance_sweep(result.generator, max_checks)
-            if hamming == n - k + 1:
-                claimed = n - k + 1
-                basis = "gabidulin-theorem"
-        else:
-            claimed = n - k + 1
-            basis = "gabidulin-theorem"
-
-    return Certificate(
-        support_ok=support_ok,
-        t_invertible=t_invertible,
-        points_independent=points_independent,
-        hamming_distance=hamming,
-        claimed_rank_distance=claimed,
-        rank_distance_basis=basis,
-        ell=None,
-        checked_minors=checks,
-        spec_sha256=_sha256_of(target.to_obj()),
-        matrix_sha256=_sha256_of(result.generator.to_obj()),
-    )
+    return _certify(result, result.generator, target, target.n - target.k + 1,
+                    "gabidulin-theorem", None, check_minors, max_checks)
 
 
 @dataclass(frozen=True)
@@ -218,8 +234,9 @@ def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     ell = required_dimension(spec)
     if ell <= spec.k:
         result = construct(spec, ctx, s_size, seed, max_retries)
-        cert = certify_mrd(result, check_minors=check_minors, max_checks=max_checks)
-        return SubcodeResult(result.generator, replace(cert, ell=ell), result)
+        cert = _certify(result, result.generator, result.completed, spec.n - spec.k + 1,
+                        "gabidulin-theorem", ell, check_minors, max_checks)
+        return SubcodeResult(result.generator, cert, result)
     if ell > spec.n:
         raise ValueError(
             f"required dimension {ell} exceeds n={spec.n}; no nontrivial code fits this pattern")
@@ -230,34 +247,6 @@ def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
         raise AssertionError("padded pattern must satisfy the support condition")
     result = construct(padded, ctx, s_size, seed, max_retries)
     sub = result.generator.submatrix(range(spec.k), range(spec.n))
-
-    support_ok = verify_support(sub, spec)
-    t_invertible = bool(result.transform.det())
-    points_independent = is_independent(result.points.elements)
-    hamming: int | None = None
-    claimed: int | None = None
-    basis: str | None = None
-    checks = 0
-    if support_ok and t_invertible and points_independent:
-        if check_minors:
-            hamming, checks = _distance_sweep(sub, max_checks)
-            if hamming == spec.n - ell + 1:
-                claimed = spec.n - ell + 1
-                basis = "subcode-sandwich"
-        else:
-            claimed = spec.n - ell + 1
-            basis = "subcode-sandwich"
-
-    cert = Certificate(
-        support_ok=support_ok,
-        t_invertible=t_invertible,
-        points_independent=points_independent,
-        hamming_distance=hamming,
-        claimed_rank_distance=claimed,
-        rank_distance_basis=basis,
-        ell=ell,
-        checked_minors=checks,
-        spec_sha256=_sha256_of(spec.to_obj()),
-        matrix_sha256=_sha256_of(sub.to_obj()),
-    )
+    cert = _certify(result, sub, spec, spec.n - ell + 1, "subcode-sandwich", ell,
+                    check_minors, max_checks)
     return SubcodeResult(sub, cert, result)

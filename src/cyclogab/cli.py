@@ -175,13 +175,21 @@ def _add_spec_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, help="row count (validated against --zeros)")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prime", type=int, required=True, help="odd prime conductor p")
     size = sub.add_mutually_exclusive_group(required=True)
     size.add_argument("--epsilon", help="target failure bound in (0, 1], e.g. 0.01")
     size.add_argument("--s-size", dest="s_size", type=int, help="explicit sample-set size")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    sub.add_argument("--max-retries", type=int, default=64, help="redraw budget (default 64)")
+    sub.add_argument("--max-retries", type=_non_negative_int, default=64,
+                     help="redraw budget (default 64)")
     sub.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
                      help="force the full minor sweep on/off (default: on for n <= 12)")
     sub.add_argument("--out", metavar="DIR", help="directory for the emitted JSON files")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cyclotomic import CycloElement, GaloisContext
-from .linalg import ExactMatrix, bordered_minor_row
+from .cyclotomic import CycloElement, GaloisContext, fq_rational
+from .linalg import ExactMatrix, bordered_minor_row, is_invertible, proves_full_row_rank
 from .supports import SupportSpec, check_condition, complete_sets
 
 
@@ -108,9 +108,17 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
 def is_independent(points: Sequence[CycloElement]) -> bool:
     """True iff the points are linearly independent over Q.
 
-    Decided exactly as non-vanishing of the top n x n minor of the Moore
+    Full rank of the n x (p-1) coordinate matrix in F_q proves independence
+    (a nonzero n x n minor mod q is a nonzero integer minor).  Otherwise the
+    decision is exact: non-vanishing of the top n x n minor of the Moore
     matrix, which is equivalent to rational independence of the points.
     """
+    if not points:
+        raise ValueError("need at least one point")
+    q = points[0].ctx.modulus
+    coords = [[fq_rational(c, q) for c in x.coeffs] for x in points]
+    if all(None not in row for row in coords) and proves_full_row_rank(coords, q):
+        return True
     return bool(moore_matrix(points, len(points)).det())
 
 
@@ -204,7 +212,7 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
         t_rows = [bordered_minor_row(base.submatrix(range(spec.k), [c - 1 for c in cols]))
                   for cols in col_sets]
         transform = ExactMatrix.from_rows(ctx, t_rows)
-        if transform.det() and is_independent(pts.elements):
+        if is_invertible(transform) and is_independent(pts.elements):
             return ConstructionResult(
                 spec=spec,
                 completed=completed,

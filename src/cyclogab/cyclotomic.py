@@ -14,12 +14,20 @@ times permutes basis exponents by i -> g^e * i (mod p) followed by a single
 reduction step.  An element is fixed by the generator exactly when it is
 rational, i.e. when all coefficients past the constant one vanish.
 
+Fast nonzero proofs.  For the smallest prime q > 2^61 with q = 1 (mod p) the
+map zeta -> omega, with omega of order p in F_q, is a ring homomorphism from
+the elements whose coefficient denominators are prime to q onto F_q.  A
+nonzero image therefore proves that the element is nonzero; a zero image
+proves nothing and the caller decides that value again exactly.  q and omega
+depend only on p, so no file records them.
+
 All values are immutable after construction; operations are pure functions,
 safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -52,6 +60,58 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_probable_prime(n: int) -> bool:
+    # Miller-Rabin with the first twelve prime bases is exact below 3.3 * 10^24.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _splitting_prime(p: int) -> tuple[int, tuple[int, ...]]:
+    """The smallest prime q > 2^61 with q = 1 (mod p), and the powers
+    omega^0, ..., omega^(p-2) of omega = a^((q-1)/p) for the smallest a >= 2
+    that makes omega != 1."""
+    q = 2 ** 61 + 1
+    q += (1 - q) % p
+    if q % 2 == 0:
+        q += p
+    while not _is_probable_prime(q):
+        q += 2 * p
+    a = 2
+    while (omega := pow(a, (q - 1) // p, q)) == 1:
+        a += 1
+    return q, tuple(pow(omega, i, q) for i in range(p - 1))
+
+
+def fq_rational(value: Fraction, q: int) -> int | None:
+    """Image of a rational in F_q, or None when q divides its denominator."""
+    den = value.denominator
+    if den == 1:
+        return value.numerator % q
+    if den % q == 0:
+        return None
+    return value.numerator * pow(den, -1, q) % q
 
 
 def _smallest_primitive_root(p: int) -> int:
@@ -89,6 +149,11 @@ class GaloisContext:
 
     def __hash__(self) -> int:
         return hash(("GaloisContext", self.p))
+
+    @property
+    def modulus(self) -> int:
+        """The prime q of the nonzero-proof map zeta -> omega in F_q."""
+        return _splitting_prime(self.p)[0]
 
     def element(self, coeffs: Iterable[Scalar]) -> CycloElement:
         """Element with the given power-basis coefficients (length m)."""
@@ -313,6 +378,19 @@ class CycloElement:
         return CycloElement(ctx, out)
 
     # -- predicates and views ---------------------------------------------
+
+    def fq_image(self) -> int | None:
+        """Image under zeta -> omega in F_q (q = ``ctx.modulus``), or None when
+        q divides a coefficient denominator.  Nonzero proves self != 0."""
+        q, powers = _splitting_prime(self.ctx.p)
+        acc = 0
+        for c, w in zip(self.coeffs, powers):
+            if c:
+                r = fq_rational(c, q)
+                if r is None:
+                    return None
+                acc += r * w
+        return acc % q
 
     def is_rational(self) -> bool:
         """True iff the element lies in the base field Q."""

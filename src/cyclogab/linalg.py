@@ -4,6 +4,12 @@ Determinants use division-free cofactor expansion up to 4x4 and fraction-free
 (Bareiss) elimination above that, which keeps intermediate entries equal to
 minors of the input and so bounds coefficient blowup.  Zero tests compare
 canonical coefficient vectors, so they are exact.
+
+Full-rank tests go through F_q first (see ``cyclotomic``): ``fq_image``
+reduces a matrix once under zeta -> omega, and ``proves_full_row_rank``
+eliminates over F_q.  Full rank of the image proves full row rank of the
+exact matrix, because some maximal minor then has a nonzero image.  Any
+other outcome only means "unknown", and the caller decides exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .cyclotomic import CycloElement, GaloisContext
+
+FqRows = list[list[int]]
 
 
 class ExactMatrix:
@@ -191,6 +199,57 @@ def _det_bareiss(ctx: GaloisContext, m: list[list[CycloElement]]) -> CycloElemen
             prev_inv = pivot.inverse()
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def fq_image(matrix: ExactMatrix) -> FqRows | None:
+    """Entry-wise image of the matrix in F_q, q = ``matrix.ctx.modulus``;
+    None when q divides a coefficient denominator of some entry."""
+    rows = []
+    for i in range(matrix.rows):
+        row = [e.fq_image() for e in matrix.row(i)]
+        if None in row:
+            return None
+        rows.append(row)
+    return rows
+
+
+def proves_full_row_rank(image: FqRows | None, q: int,
+                         cols: Sequence[int] | None = None) -> bool:
+    """True when the F_q image, restricted to ``cols`` if given, has full row
+    rank: a proof that the exact matrix has full row rank.  False means
+    unknown, never rank-deficient."""
+    if image is None:
+        return False
+    # Division-free elimination: row i becomes pivot * row i - lead * pivot
+    # row, which keeps the rank because the pivot is a unit.  Rows are
+    # replaced, never mutated, so ``image`` is left as it was.
+    work = [[row[c] for c in cols] for row in image] if cols is not None else list(image)
+    nr = len(work)
+    r = 0
+    for c in range(len(work[0]) if nr else 0):
+        piv = next((i for i in range(r, nr) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pivot = work[r][c]
+        tail = work[r][c + 1:]
+        for i in range(r + 1, nr):
+            lead = work[i][c]
+            if lead:
+                work[i] = [0] * (c + 1) + [(pivot * a - lead * b) % q
+                                           for a, b in zip(work[i][c + 1:], tail)]
+        r += 1
+        if r == nr:
+            break
+    return r == nr
+
+
+def is_invertible(matrix: ExactMatrix) -> bool:
+    """Exact invertibility of a square matrix: a nonzero determinant mod q
+    proves it, anything else is decided by the exact determinant."""
+    if matrix.rows != matrix.cols:
+        raise ValueError(f"invertibility needs a square matrix, got {matrix.rows}x{matrix.cols}")
+    return proves_full_row_rank(fq_image(matrix), matrix.ctx.modulus) or bool(matrix.det())
 
 
 def bordered_minor_row(block: ExactMatrix) -> tuple[CycloElement, ...]:

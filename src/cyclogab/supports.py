@@ -45,10 +45,25 @@ class SupportSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> SupportSpec:
-        return cls(int(obj["n"]), int(obj["k"]), obj["zeros"])
+        """Pattern from parsed JSON; anything but integer n and k and a list of
+        lists of integer columns raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a pattern must be a JSON object with keys n, k and zeros")
+        for key in ("n", "k"):
+            if not _is_int(obj.get(key)):
+                raise ValueError(f"pattern field {key!r} must be an integer, got {obj.get(key)!r}")
+        zeros = obj.get("zeros")
+        if not (isinstance(zeros, list) and all(
+                isinstance(z, list) and all(_is_int(c) for c in z) for z in zeros)):
+            raise ValueError("pattern field 'zeros' must be a list of lists of integer columns")
+        return cls(obj["n"], obj["k"], zeros)
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _distinct_groups(spec: SupportSpec) -> list[tuple[frozenset[int], tuple[int, ...]]]:

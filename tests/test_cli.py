@@ -57,6 +57,28 @@ def test_check_malformed_json(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 4, "k": 2, "zeros": 5},
+    [[1], [2]],
+    {"n": 6.5, "k": 2, "zeros": [[1], [2]]},
+    {"n": 4, "k": True, "zeros": [[1], [2]]},
+    {"n": 4, "k": 2, "zeros": [["1"], [2]]},
+])
+def test_check_malformed_pattern_types(capsys, tmp_path, obj):
+    path = write_spec(tmp_path / "typed.json", obj)
+    code, _, err = run(capsys, ["check", "--zeros", path])
+    assert code == 2
+    assert "error" in err
+
+
+def test_construct_rejects_negative_retries(capsys, good_spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--prime", "7", "--zeros", good_spec, "--s-size", "100",
+              "--max-retries", "-1"])
+    assert exc.value.code == 2
+    assert "--max-retries" in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, ["check", "--zeros", "/nonexistent/zeros.json"])
     assert code == 2

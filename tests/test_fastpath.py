@@ -1,0 +1,130 @@
+"""The F_q nonzero proofs: ring map, false zeros, unreducible entries, and
+agreement of the fast and exact routes."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclogab import ExactMatrix, GaloisContext, is_independent, moore_matrix, sample_points
+from cyclogab.certify import _distance_sweep, hamming_distance
+from cyclogab.linalg import fq_image, is_invertible, proves_full_row_rank
+from conftest import CONTEXTS, elements
+from helpers import brute_hamming_distance, coordinate_rank
+
+
+def omega(ctx):
+    return ctx.zeta(1).fq_image()
+
+
+def false_zero(ctx):
+    """zeta - omega: nonzero in Q(zeta_p), zero in F_q."""
+    return ctx.zeta(1) - omega(ctx)
+
+
+def q_denominator(ctx):
+    """1/q + zeta: nonzero, with no image in F_q."""
+    return ctx.element([Fraction(1, ctx.modulus), 1] + [0] * (ctx.m - 2))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_modulus_splits_and_is_deterministic(p):
+    ctx = GaloisContext(p)
+    q, w = ctx.modulus, omega(ctx)
+    assert q > 2 ** 61 and q % p == 1
+    assert w != 1 and pow(w, p, q) == 1
+    assert GaloisContext(p).modulus == q
+    # every smaller candidate q' = 1 (mod p) above 2^61 fails a Fermat test
+    for cand in range(2 ** 61 + 1, q):
+        if cand % p == 1:
+            assert pow(2, cand - 1, cand) != 1 or pow(3, cand - 1, cand) != 1
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_image_is_a_ring_map(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    ctx = CONTEXTS[p]
+    q = ctx.modulus
+    a = data.draw(elements(p))
+    b = data.draw(elements(p))
+    assert (a + b).fq_image() == (a.fq_image() + b.fq_image()) % q
+    assert (a - b).fq_image() == (a.fq_image() - b.fq_image()) % q
+    assert (a * b).fq_image() == a.fq_image() * b.fq_image() % q
+    assert ctx.one().fq_image() == 1 and ctx.zero().fq_image() == 0
+    if a.fq_image():
+        assert a  # a nonzero image is a proof
+
+
+def test_false_zero_goes_to_exact_fallback(ctx5):
+    x = false_zero(ctx5)
+    assert x and x.fq_image() == 0
+    one, zero = ctx5.one(), ctx5.zero()
+    m = ExactMatrix.from_rows(ctx5, [[x, one], [zero, one]])
+    assert fq_image(m)[0][0] == 0
+    assert not proves_full_row_rank(fq_image(m), ctx5.modulus)
+    assert is_invertible(m)
+    singular = ExactMatrix.from_rows(ctx5, [[x, x], [one, one]])
+    assert not is_invertible(singular)
+
+
+def test_false_zero_in_the_sweep(ctx5):
+    x = false_zero(ctx5)
+    one, zero = ctx5.one(), ctx5.zero()
+    # the minor on columns {1, 2} is x: zero mod q, nonzero exactly
+    g = ExactMatrix.from_rows(ctx5, [[one, zero, one], [zero, x, one]])
+    assert _distance_sweep(g, 100) == (2, 3)
+    assert brute_hamming_distance(g) == 2
+    # a true zero column still lowers the distance
+    h = ExactMatrix.from_rows(ctx5, [[one, zero, x], [zero, zero, one]])
+    assert hamming_distance(h) == brute_hamming_distance(h) == 1
+
+
+def test_denominator_divisible_by_q_goes_to_exact_path(ctx5):
+    e = q_denominator(ctx5)
+    assert e and e.fq_image() is None
+    one = ctx5.one()
+    m = ExactMatrix.from_rows(ctx5, [[e, one], [one, one]])
+    assert fq_image(m) is None
+    assert not proves_full_row_rank(None, ctx5.modulus)
+    assert is_invertible(m)
+    assert not is_invertible(ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]))
+    g = ExactMatrix.from_rows(ctx5, [[e, one, one], [one, one, e]])
+    assert hamming_distance(g) == brute_hamming_distance(g)
+
+
+def test_independence_fallbacks(ctx5):
+    q = ctx5.modulus
+    one, z = ctx5.one(), ctx5.zeta(1)
+    # coordinates (0, q, 0, 0) vanish mod q but the points are independent
+    assert is_independent([one, z * q])
+    assert not is_independent([one, z * q, one + z])
+    e = q_denominator(ctx5)
+    assert is_independent([one, e])
+    assert not is_independent([e, e * 3])
+
+
+def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
+    pts = sample_points(ctx11, 5, 1000, seed=2).elements
+    m = moore_matrix(pts, 5)
+    monkeypatch.setattr(ExactMatrix, "det", lambda self: pytest.fail("exact det called"))
+    assert is_invertible(m)
+    assert is_independent(pts)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_fast_and_exact_independence_agree(data):
+    p = data.draw(st.sampled_from([5, 7]))
+    ctx = CONTEXTS[p]
+    n = data.draw(st.integers(min_value=1, max_value=ctx.m))
+    coords = st.lists(st.integers(min_value=-1, max_value=1), min_size=ctx.m, max_size=ctx.m)
+    pts = [ctx.element(c) for c in data.draw(st.lists(coords, min_size=n, max_size=n))]
+    if n >= 3 and data.draw(st.booleans()):
+        pts[2] = pts[0] + pts[1]  # planted dependence x3 = x1 + x2
+    fast = is_independent(pts)
+    assert fast == bool(moore_matrix(pts, n).det())
+    assert fast == (coordinate_rank(pts) == n)
+    if n >= 3 and pts[2] == pts[0] + pts[1]:
+        assert not fast
