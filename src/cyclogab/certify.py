@@ -115,7 +115,7 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     distance is therefore n - s + 1 for the first size s at which every
     s-subset has full rank.  The matrix is reduced to F_q once; a subset
     whose image has full rank is proved full, and only the others are
-    decided by the exact determinant or rank.
+    decided by the exact rank.
     """
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
@@ -124,19 +124,14 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
         raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
     checks = 0
     for s in range(k, n + 1):
-        deficient = False
         for cols in itertools.combinations(range(n), s):
             checks += 1
             if checks > max_checks:
                 raise ValueError(f"column-subset budget {max_checks} exceeded")
-            if proves_full_row_rank(image, q, cols):
-                continue
-            sub = matrix.column_subset(cols)
-            full = bool(sub.det()) if s == k else sub.rank() == k
-            if not full:
-                deficient = True
+            if not proves_full_row_rank(image, q, cols) \
+                    and matrix.column_subset(cols).rank() < k:
                 break
-        if not deficient:
+        else:
             return n - s + 1, checks
     raise AssertionError("unreachable: a full-rank matrix has full rank at s = n")
 

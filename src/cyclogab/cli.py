@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .certify import build_subcode, certify_mrd
+from .certify import DEFAULT_MAX_CHECKS, build_subcode, certify_mrd
 from .construction import ConstructionResult, RetriesExhausted, construct, required_sample_size
 from .cyclotomic import GaloisContext
 from .gmmds import oracle_report, sweep_agreement
 from .supports import SupportSpec, check_condition, complete_sets, required_dimension
-
-MINOR_SWEEP_AUTO_LIMIT = 12  # default the full minor sweep on for n <= 12
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,20 @@ def _job_config(args: argparse.Namespace) -> JobConfig:
     else:
         epsilon = args.epsilon
         s_size = required_sample_size(spec.n, spec.k, Fraction(epsilon))
-    check_minors = args.check_minors if args.check_minors is not None \
-        else spec.n <= MINOR_SWEEP_AUTO_LIMIT
+    check_minors = args.check_minors
+    if check_minors is None:
+        # ell = k for a feasible pattern; subcode claims distance n - ell + 1
+        check_minors = _sweep_fits_budget(spec.n, spec.k, required_dimension(spec))
     return JobConfig(ctx=ctx, spec=spec, s_size=s_size, epsilon=epsilon, seed=args.seed,
                      max_retries=args.max_retries, check_minors=check_minors,
                      out=Path(args.out) if args.out else None)
+
+
+def _sweep_fits_budget(n: int, k: int, ell: int) -> bool:
+    """Default of --check-minors: whether the worst case of the sweep that
+    confirms distance n - ell + 1, every s-subset of the columns for
+    s = k..ell (C(n, k) at full distance), fits DEFAULT_MAX_CHECKS."""
+    return sum(math.comb(n, s) for s in range(k, ell + 1)) <= DEFAULT_MAX_CHECKS
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -143,7 +151,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     with open(args.result, "r", encoding="utf-8") as fh:
         result = ConstructionResult.from_obj(json.load(fh))
     check_minors = args.check_minors if args.check_minors is not None \
-        else result.spec.n <= MINOR_SWEEP_AUTO_LIMIT
+        else _sweep_fits_budget(result.spec.n, result.spec.k, result.spec.k)
     cert = certify_mrd(result, check_minors=check_minors)
     if args.out is not None:
         _write(Path(args.out), "certificate.json", cert.to_obj())
@@ -191,7 +199,8 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-retries", type=_non_negative_int, default=64,
                      help="redraw budget (default 64)")
     sub.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
-                     help="force the full minor sweep on/off (default: on for n <= 12)")
+                     help="force the full minor sweep on/off (default: on when its worst-case "
+                          f"column-subset count fits the budget of {DEFAULT_MAX_CHECKS})")
     sub.add_argument("--out", metavar="DIR", help="directory for the emitted JSON files")
 
 
@@ -224,7 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = subs.add_parser("certify", help="re-certify a stored construction result")
     p_cert.add_argument("result", help="result JSON written by 'construct'")
-    p_cert.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None)
+    p_cert.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
+                        help="force the full minor sweep on/off (default: on when C(n, k) "
+                             f"fits the budget of {DEFAULT_MAX_CHECKS})")
     p_cert.add_argument("--out", metavar="DIR")
     p_cert.set_defaults(func=cmd_certify)
 

@@ -4,22 +4,27 @@ The build draws integer coordinates for n evaluation points, stacks their
 automorphism orbit into a Moore matrix, and multiplies by a row-transform
 whose entries are signed maximal minors, which forces the requested zeros
 identically.  A draw succeeds when the transform is invertible and the
-points are linearly independent over Q; a single draw fails with probability
+points are linearly independent over Q (full rank of their integer
+coordinate matrix); a single draw fails with probability
 at most (n + k*(k-1)) / s_size, so the retry loop below almost never runs
 for adequately large sample sets.
+
+A ``ConstructionResult`` derives the Moore matrix and the generator from its
+points and transform, so a result cannot hold an inconsistent pair; loading
+a stored result checks the stored copies against the derived ones.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cyclotomic import CycloElement, GaloisContext, fq_rational
-from .linalg import ExactMatrix, bordered_minor_row, is_invertible, proves_full_row_rank
-from .supports import SupportSpec, check_condition, complete_sets
+from .cyclotomic import CycloElement, GaloisContext
+from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row, is_invertible
+from .supports import SupportSpec, _int_field, _is_int_rows, check_condition, complete_sets
 
 
 class RetriesExhausted(RuntimeError):
@@ -54,9 +59,16 @@ class EvaluationPoints:
 
     @classmethod
     def from_obj(cls, ctx: GaloisContext, obj: dict) -> EvaluationPoints:
-        coords = tuple(tuple(int(v) for v in row) for row in obj["coords"])
+        """Inverse of ``to_obj``; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("points must be a JSON object with keys coords, "
+                             "sample_set_size and seed")
+        coords = obj.get("coords")
+        if not _is_int_rows(coords):
+            raise ValueError("point coords must be a list of lists of integers")
+        coords = tuple(tuple(row) for row in coords)
         elements = tuple(ctx.element(row) for row in coords)
-        return cls(elements, coords, int(obj["sample_set_size"]), int(obj["seed"]))
+        return cls(elements, coords, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
 def required_sample_size(n: int, k: int, epsilon: Union[float, str, Fraction]) -> int:
@@ -106,51 +118,46 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
 
 
 def is_independent(points: Sequence[CycloElement]) -> bool:
-    """True iff the points are linearly independent over Q.
-
-    Full rank of the n x (p-1) coordinate matrix in F_q proves independence
-    (a nonzero n x n minor mod q is a nonzero integer minor).  Otherwise the
-    decision is exact: non-vanishing of the top n x n minor of the Moore
-    matrix, which is equivalent to rational independence of the points.
-    """
+    """True iff the points are linearly independent over Q, decided as full
+    row rank of the n x (p-1) coordinate matrix, each row scaled to integers
+    by the common denominator of its coefficients."""
     if not points:
         raise ValueError("need at least one point")
-    q = points[0].ctx.modulus
-    coords = [[fq_rational(c, q) for c in x.coeffs] for x in points]
-    if all(None not in row for row in coords) and proves_full_row_rank(coords, q):
-        return True
-    return bool(moore_matrix(points, len(points)).det())
+    rows = []
+    for x in points:
+        scale = math.lcm(*(c.denominator for c in x.coeffs))
+        rows.append([c.numerator * (scale // c.denominator) for c in x.coeffs])
+    return _eliminate(rows, _int_quotient)[0] == len(rows)
 
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """Outcome of a successful build: generator = transform @ moore exactly."""
+    """Outcome of a successful build.  ``moore`` is the automorphism orbit of
+    the points and ``generator`` is exactly transform @ moore; both are
+    derived on creation, never passed in."""
 
     spec: SupportSpec
     completed: SupportSpec
     points: EvaluationPoints
-    moore: ExactMatrix
     transform: ExactMatrix
-    generator: ExactMatrix
     s_size: int
     seed: int
     max_retries: int
     retries: int
+    moore: ExactMatrix = field(init=False)
+    generator: ExactMatrix = field(init=False)
 
     def __post_init__(self) -> None:
         n, k = self.spec.n, self.spec.k
-        if (self.moore.rows, self.moore.cols) != (k, n) \
-                or (self.transform.rows, self.transform.cols) != (k, k) \
-                or (self.generator.rows, self.generator.cols) != (k, n) \
+        if (self.transform.rows, self.transform.cols) != (k, k) \
                 or len(self.points.elements) != n:
             raise ValueError("inconsistent shapes in construction result")
         if not (self.completed.is_completed()
                 and all(a <= b for a, b in zip(self.spec.zeros, self.completed.zeros))):
             raise ValueError("completed pattern must extend the input to k-1 zeros per row")
-        if self.moore != moore_matrix(self.points.elements, k):
-            raise ValueError("moore matrix must be the automorphism orbit of the points")
-        if self.generator != self.transform @ self.moore:
-            raise ValueError("generator must equal transform @ moore exactly")
+        moore = moore_matrix(self.points.elements, k)
+        object.__setattr__(self, "moore", moore)
+        object.__setattr__(self, "generator", self.transform @ moore)
 
     def to_obj(self) -> dict:
         return {
@@ -169,21 +176,30 @@ class ConstructionResult:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConstructionResult:
+        """Load a stored result; malformed input, and stored ``moore`` or
+        ``generator`` matrices that differ from the ones derived from the
+        points and the transform, raise ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a construction result must be a JSON object")
         ctx = GaloisContext.from_obj(obj["context"])
         spec = SupportSpec.from_obj(obj["spec"])
-        completed = SupportSpec(spec.n, spec.k, obj["completed_zeros"])
-        return cls(
+        completed = SupportSpec.from_obj(
+            {"n": spec.n, "k": spec.k, "zeros": obj["completed_zeros"]})
+        result = cls(
             spec=spec,
             completed=completed,
             points=EvaluationPoints.from_obj(ctx, obj["points"]),
-            moore=ExactMatrix.from_obj(ctx, obj["moore"]),
             transform=ExactMatrix.from_obj(ctx, obj["transform"]),
-            generator=ExactMatrix.from_obj(ctx, obj["generator"]),
-            s_size=int(obj["s_size"]),
-            seed=int(obj["seed"]),
-            max_retries=int(obj["max_retries"]),
-            retries=int(obj["retries"]),
+            s_size=_int_field(obj, "s_size"),
+            seed=_int_field(obj, "seed"),
+            max_retries=_int_field(obj, "max_retries"),
+            retries=_int_field(obj, "retries"),
         )
+        if ExactMatrix.from_obj(ctx, obj["moore"]) != result.moore:
+            raise ValueError("stored moore matrix must be the automorphism orbit of the points")
+        if ExactMatrix.from_obj(ctx, obj["generator"]) != result.generator:
+            raise ValueError("stored generator must equal transform @ moore exactly")
+        return result
 
 
 def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
@@ -217,9 +233,7 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
                 spec=spec,
                 completed=completed,
                 points=pts,
-                moore=base,
                 transform=transform,
-                generator=transform @ base,
                 s_size=s_size,
                 seed=seed,
                 max_retries=max_retries,

@@ -3,9 +3,11 @@
 An element is a vector of ``fractions.Fraction`` coefficients over the power
 basis 1, zeta, ..., zeta^(p-2), so every value is exact and canonically
 represented (lowest terms, positive denominator).  Products are reduced with
-the relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)); inverses come from
-the extended Euclidean algorithm against the p-th cyclotomic polynomial
-1 + x + ... + x^(p-1), which is irreducible over Q.
+the relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The inverse of a
+is the product of its m - 1 nontrivial conjugates divided by the norm N(a),
+the product of all m conjugates, which is a nonzero rational for a != 0.
+Field operations cost O(p^2) coefficient operations, so the conductor is
+bounded by ``MAX_CONDUCTOR``.
 
 The automorphism group over Q is cyclic of order m = p - 1.  The generator
 used throughout this package sends zeta to zeta^g, where g is the smallest
@@ -31,35 +33,15 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .supports import _is_int
+
 Rational = Fraction  # canonical scalar type of the base field
 Scalar = Union[int, Fraction]
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+# Largest accepted conductor.  One multiply takes (p-1)^2 Fraction products,
+# 0.37 s at p = 257 with CPython 3.11 on a 2-vCPU x86-64 machine, and a
+# construction needs hundreds of them.
+MAX_CONDUCTOR = 257
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -104,23 +86,10 @@ def _splitting_prime(p: int) -> tuple[int, tuple[int, ...]]:
     return q, tuple(pow(omega, i, q) for i in range(p - 1))
 
 
-def fq_rational(value: Fraction, q: int) -> int | None:
-    """Image of a rational in F_q, or None when q divides its denominator."""
-    den = value.denominator
-    if den == 1:
-        return value.numerator % q
-    if den % q == 0:
-        return None
-    return value.numerator * pow(den, -1, q) % q
-
-
 def _smallest_primitive_root(p: int) -> int:
-    # g generates (Z/p)^* iff g^((p-1)/q) != 1 mod p for every prime q | p-1.
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ArithmeticError(f"no primitive root modulo {p}")  # unreachable for prime p
+    # g generates (Z/p)^* iff its powers reach all p - 1 residues; with p at
+    # most MAX_CONDUCTOR this direct count is cheap.
+    return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
 
 
 class GaloisContext:
@@ -135,7 +104,12 @@ class GaloisContext:
     __slots__ = ("p", "m", "g")
 
     def __init__(self, p: int) -> None:
-        if p == 2 or not _is_prime(p):
+        if not _is_int(p):
+            raise ValueError(f"conductor must be an integer, got {p!r}")
+        if p > MAX_CONDUCTOR:
+            raise ValueError(f"conductor p={p} is above MAX_CONDUCTOR={MAX_CONDUCTOR}: "
+                             "field operations cost O(p^2) exact coefficient operations")
+        if p == 2 or not _is_probable_prime(p):
             raise ValueError(f"conductor must be an odd prime, got {p}")
         self.p = p
         self.m = p - 1
@@ -186,48 +160,9 @@ class GaloisContext:
 
     @classmethod
     def from_obj(cls, obj: dict) -> GaloisContext:
-        return cls(int(obj["p"]))
-
-
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        if c:
-            quot[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return quot, _poly_trim(num)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
+        if not isinstance(obj, dict):
+            raise ValueError("a context must be a JSON object with key p")
+        return cls(obj.get("p"))
 
 
 class CycloElement:
@@ -309,26 +244,17 @@ class CycloElement:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloElement:
-        """Multiplicative inverse; inverting zero raises ZeroDivisionError."""
-        if not any(self.coeffs):
+        """Multiplicative inverse; inverting zero raises ZeroDivisionError.
+
+        The product c of the conjugates aut(1), ..., aut(m-1) satisfies
+        self * c = N(self), a nonzero rational, so the inverse is c / N(self).
+        """
+        if not self:
             raise ZeroDivisionError("zero has no inverse in Q(zeta_p)")
-        p, m = self.ctx.p, self.ctx.m
-        # Extended gcd of the coefficient polynomial with 1 + x + ... + x^(p-1).
-        r_prev: list[Fraction] = [Fraction(1)] * p
-        r_cur = _poly_trim(list(self.coeffs))
-        t_prev: list[Fraction] = []
-        t_cur: list[Fraction] = [Fraction(1)]
-        while r_cur:
-            quot, rem = _poly_divmod(r_prev, r_cur)
-            r_prev, r_cur = r_cur, rem
-            t_prev, t_cur = t_cur, _poly_sub(t_prev, _poly_mul(quot, t_cur))
-        # gcd is a nonzero constant because the modulus is irreducible over Q.
-        scale = 1 / r_prev[0]
-        inv = [c * scale for c in t_prev]
-        if len(inv) > m:
-            raise ArithmeticError("inverse degree exceeded the basis")  # unreachable
-        inv += [Fraction(0)] * (m - len(inv))
-        return CycloElement(self.ctx, inv)
+        conj = self.aut(1)
+        for e in range(2, self.ctx.m):
+            conj = conj * self.aut(e)
+        return conj * (1 / (self * conj).rational_value())
 
     def __truediv__(self, other) -> CycloElement:
         rhs = self._coerce(other)
@@ -386,10 +312,9 @@ class CycloElement:
         acc = 0
         for c, w in zip(self.coeffs, powers):
             if c:
-                r = fq_rational(c, q)
-                if r is None:
+                if c.denominator % q == 0:
                     return None
-                acc += r * w
+                acc += c.numerator * pow(c.denominator, -1, q) * w
         return acc % q
 
     def is_rational(self) -> bool:
@@ -419,8 +344,15 @@ class CycloElement:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
     @classmethod
-    def from_strings(cls, ctx: GaloisContext, items: Iterable[str]) -> CycloElement:
-        return cls(ctx, [Fraction(s) for s in items])
+    def from_strings(cls, ctx: GaloisContext, items: list[str]) -> CycloElement:
+        """Inverse of ``to_strings``; anything but a list of rational strings
+        raises ValueError."""
+        if not (isinstance(items, list) and all(isinstance(s, str) for s in items)):
+            raise ValueError("an element must be a list of coefficient strings")
+        try:
+            return cls(ctx, [Fraction(s) for s in items])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"coefficient with zero denominator: {exc}") from None
 
     def __str__(self) -> str:
         terms = []

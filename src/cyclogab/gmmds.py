@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .linalg import _eliminate, _int_quotient
 from .supports import SupportSpec, check_condition
 
 SYMBOLIC_MAX_K = 6
@@ -172,28 +173,6 @@ def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     return minor(0, tuple(range(k)))
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    # Integer Bareiss elimination; every division is exact.
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[col][col] * m[r][c] - m[r][col] * m[col][c]) // prev
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
 def _evaluated_det(spec: SupportSpec, point: Sequence[int]) -> int:
     rows = []
     for z in spec.zeros:
@@ -206,7 +185,8 @@ def _evaluated_det(spec: SupportSpec, point: Sequence[int]) -> int:
                 lifted[d] -= c * a
             coeffs = lifted
         rows.append(coeffs)
-    return _int_det(rows)
+    rank, det = _eliminate(rows, _int_quotient)
+    return det if rank == len(rows) else 0
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Dense exact linear algebra over Q(zeta_p).
 
-Determinants use division-free cofactor expansion up to 4x4 and fraction-free
-(Bareiss) elimination above that, which keeps intermediate entries equal to
-minors of the input and so bounds coefficient blowup.  Zero tests compare
+Every exact rank and determinant question goes through one fraction-free
+(Bareiss) elimination, ``_eliminate``, which keeps intermediate entries equal
+to minors of the input and so bounds coefficient blowup.  Only the per-row
+reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and a
+multiply by the inverse of the previous pivot over Q(zeta_p).  Determinants
+up to 4x4 use division-free cofactor expansion instead, because a single
+inverse costs more than the whole expansion there.  Zero tests compare
 canonical coefficient vectors, so they are exact.
 
 Full-rank tests go through F_q first (see ``cyclotomic``): ``fq_image``
@@ -14,9 +18,10 @@ other outcome only means "unknown", and the caller decides exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycloElement, GaloisContext
+from .supports import _int_field
 
 FqRows = list[list[int]]
 
@@ -110,28 +115,12 @@ class ExactMatrix:
             raise ValueError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
         if self.rows <= 4:
             return _det_cofactor(self.ctx, self.row_lists())
-        return _det_bareiss(self.ctx, self.row_lists())
+        rank, last = _eliminate(self.row_lists(), _field_quotient)
+        return last if rank == self.rows else self.ctx.zero()
 
     def rank(self) -> int:
-        """Exact rank via elimination with exact pivot-zero tests."""
-        work = self.row_lists()
-        nr, nc = self.rows, self.cols
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if work[i][c]), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = work[r][c].inverse()
-            for i in range(r + 1, nr):
-                if work[i][c]:
-                    f = work[i][c] * inv
-                    for j in range(c, nc):
-                        work[i][j] = work[i][j] - f * work[r][j]
-            r += 1
-            if r == nr:
-                break
-        return r
+        """Exact rank."""
+        return _eliminate(self.row_lists(), _field_quotient)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -154,8 +143,14 @@ class ExactMatrix:
 
     @classmethod
     def from_obj(cls, ctx: GaloisContext, obj: dict) -> ExactMatrix:
-        entries = [CycloElement.from_strings(ctx, item) for item in obj["entries"]]
-        return cls(ctx, int(obj["rows"]), int(obj["cols"]), entries)
+        """Inverse of ``to_obj``; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a matrix must be a JSON object with keys rows, cols and entries")
+        items = obj["entries"]
+        if not isinstance(items, list):
+            raise ValueError("matrix entries must be a list")
+        return cls(ctx, _int_field(obj, "rows"), _int_field(obj, "cols"),
+                   [CycloElement.from_strings(ctx, item) for item in items])
 
 
 def _det_cofactor(ctx: GaloisContext, m: list[list[CycloElement]]) -> CycloElement:
@@ -176,29 +171,57 @@ def _det_cofactor(ctx: GaloisContext, m: list[list[CycloElement]]) -> CycloEleme
     return total
 
 
-def _det_bareiss(ctx: GaloisContext, m: list[list[CycloElement]]) -> CycloElement:
-    # Fraction-free elimination: every division below is exact (the running
-    # entries are minors of the original matrix).
-    n = len(m)
-    sign = 1
-    prev_inv: CycloElement | None = None  # inverse of the previous pivot
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object]:
+    """Rank and signed last pivot of a matrix given as rows (left unchanged).
+
+    Fraction-free elimination with row pivoting that skips pivot-free columns:
+    each row below the pivot becomes pivot * row - lead * pivot_row, right of
+    the pivot column, passed through ``reducer(prev)``.  Exact division by
+    the previous pivot ``prev`` (Bareiss) keeps every entry a minor of the
+    input, so a square matrix of full rank ends with its determinant as the
+    signed last pivot; reducing mod a prime instead keeps only the rank.
+    """
+    work = [list(row) for row in rows]
+    nr = len(work)
+    rank, sign, prev, last = 0, 1, None, 1
+    for c in range(len(work[0]) if nr else 0):
+        piv = next((i for i in range(rank, nr) if work[i][c]), None)
         if piv is None:
-            return ctx.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
             sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            lead = m[r][col]
-            for c in range(col + 1, n):
-                val = pivot * m[r][c] - lead * m[col][c]
-                m[r][c] = val * prev_inv if prev_inv is not None else val
-        if col < n - 2:
-            prev_inv = pivot.inverse()
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+        last = work[rank][c]
+        if rank + 1 < nr:
+            reduce = reducer(prev)
+            tail = work[rank][c + 1:]
+            for i in range(rank + 1, nr):
+                lead = work[i][c]
+                work[i][c + 1:] = reduce([last * a - lead * b
+                                          for a, b in zip(work[i][c + 1:], tail)])
+        prev = last
+        rank += 1
+        if rank == nr:
+            break
+    return rank, last if sign == 1 else -last
+
+
+def _int_quotient(prev: int | None) -> Callable[[list[int]], list[int]]:
+    """Reducer over Z: exact integer division by the previous pivot."""
+    return lambda row: row if prev is None else [v // prev for v in row]
+
+
+def _mod_reducer(q: int) -> Callable:
+    """Reducer over F_q: no division, since a unit pivot keeps the rank."""
+    return lambda prev: lambda row: [v % q for v in row]
+
+
+def _field_quotient(prev: CycloElement | None) -> Callable[[list], list]:
+    """Reducer over Q(zeta_p): one inverse per step, then a multiply per entry."""
+    if prev is None:
+        return lambda row: row
+    inv = prev.inverse()
+    return lambda row: [v * inv for v in row]
 
 
 def fq_image(matrix: ExactMatrix) -> FqRows | None:
@@ -220,28 +243,8 @@ def proves_full_row_rank(image: FqRows | None, q: int,
     unknown, never rank-deficient."""
     if image is None:
         return False
-    # Division-free elimination: row i becomes pivot * row i - lead * pivot
-    # row, which keeps the rank because the pivot is a unit.  Rows are
-    # replaced, never mutated, so ``image`` is left as it was.
-    work = [[row[c] for c in cols] for row in image] if cols is not None else list(image)
-    nr = len(work)
-    r = 0
-    for c in range(len(work[0]) if nr else 0):
-        piv = next((i for i in range(r, nr) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pivot = work[r][c]
-        tail = work[r][c + 1:]
-        for i in range(r + 1, nr):
-            lead = work[i][c]
-            if lead:
-                work[i] = [0] * (c + 1) + [(pivot * a - lead * b) % q
-                                           for a, b in zip(work[i][c + 1:], tail)]
-        r += 1
-        if r == nr:
-            break
-    return r == nr
+    rows = image if cols is None else [[row[c] for c in cols] for row in image]
+    return _eliminate(rows, _mod_reducer(q))[0] == len(rows)
 
 
 def is_invertible(matrix: ExactMatrix) -> bool:
@@ -264,8 +267,6 @@ def bordered_minor_row(block: ExactMatrix) -> tuple[CycloElement, ...]:
     rows = block.row_lists()
     out = []
     for j in range(k):
-        minor = rows[:j] + rows[j + 1:]
-        d = _det_cofactor(block.ctx, minor) if k - 1 <= 4 else \
-            ExactMatrix.from_rows(block.ctx, minor).det()
+        d = ExactMatrix.from_rows(block.ctx, rows[:j] + rows[j + 1:]).det()
         out.append(d if j % 2 == 0 else -d)
     return tuple(out)

@@ -49,14 +49,10 @@ class SupportSpec:
         lists of integer columns raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a pattern must be a JSON object with keys n, k and zeros")
-        for key in ("n", "k"):
-            if not _is_int(obj.get(key)):
-                raise ValueError(f"pattern field {key!r} must be an integer, got {obj.get(key)!r}")
-        zeros = obj.get("zeros")
-        if not (isinstance(zeros, list) and all(
-                isinstance(z, list) and all(_is_int(c) for c in z) for z in zeros)):
+        n, k, zeros = _int_field(obj, "n"), _int_field(obj, "k"), obj.get("zeros")
+        if not _is_int_rows(zeros):
             raise ValueError("pattern field 'zeros' must be a list of lists of integer columns")
-        return cls(obj["n"], obj["k"], zeros)
+        return cls(n, k, zeros)
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
@@ -64,6 +60,20 @@ class SupportSpec:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_rows(value) -> bool:
+    """True iff value is a list of lists of integers."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_is_int(v) for v in row) for row in value)
+
+
+def _int_field(obj: dict, key: str) -> int:
+    """obj[key] when it is an integer (not a bool, float or string), else ValueError."""
+    value = obj.get(key)
+    if not _is_int(value):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _distinct_groups(spec: SupportSpec) -> list[tuple[frozenset[int], tuple[int, ...]]]:

@@ -59,14 +59,10 @@ def brute_required_dimension(spec: SupportSpec) -> int:
     return best
 
 
-def coordinate_rank(points) -> int:
-    """Rank over Q of the rational coordinate vectors of the points.
-
-    Linear independence of field elements over Q is equivalent to full rank
-    here, which gives a route to the independence decision that never touches
-    Moore matrices or automorphisms.
-    """
-    rows = [list(x.coeffs) for x in points]
+def gaussian_rank(rows) -> int:
+    """Rank by textbook Gaussian elimination with field division; entries are
+    Fractions or field elements."""
+    rows = [list(row) for row in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
     for c in range(cols):
@@ -74,14 +70,33 @@ def coordinate_rank(points) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
         for i in range(rank + 1, len(rows)):
             if rows[i][c]:
-                f = rows[i][c] * inv
-                for j in range(c, cols):
-                    rows[i][j] -= f * rows[rank][j]
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def cofactor_det(rows, one):
+    """Determinant by first-row cofactor expansion over any commutative ring."""
+    if not rows:
+        return one
+    total = one - one
+    for j, head in enumerate(rows[0]):
+        term = head * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]], one)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def coordinate_rank(points) -> int:
+    """Rank over Q of the rational coordinate vectors of the points.
+
+    Linear independence of field elements over Q is equivalent to full rank
+    here, which gives a route to the independence decision that never touches
+    Moore matrices or automorphisms.
+    """
+    return gaussian_rank([[Fraction(c) for c in x.coeffs] for x in points])
 
 
 def brute_hamming_distance(matrix: ExactMatrix) -> int:

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from cyclogab import (Certificate, ConstructionResult, EvaluationPoints, ExactMa
                       complete_sets, construct, hamming_distance, moore_matrix,
                       required_dimension, sample_points, verify_support)
 from cyclogab.certify import _distance_sweep
+from cyclogab.cli import main
 from conftest import CONTEXTS
 from helpers import brute_hamming_distance
 
@@ -100,8 +101,7 @@ def make_result(ctx, spec, points, s_size, seed):
             for z in completed.zeros]
     transform = ExactMatrix.from_rows(ctx, rows)
     return ConstructionResult(spec=spec, completed=completed, points=points,
-                              moore=base, transform=transform,
-                              generator=transform @ base, s_size=s_size,
+                              transform=transform, s_size=s_size,
                               seed=seed, max_retries=0, retries=0)
 
 
@@ -120,13 +120,22 @@ def test_certify_dependent_points_fails_without_claim(ctx11):
     assert not cert.passed
 
 
-def test_result_invariants_enforced(ctx11):
+def test_result_invariants_enforced(ctx11, tmp_path, capsys):
+    # moore and generator are derived from the points and the transform; a
+    # stored copy that differs from the derived one is refused on load
     result = construct(STAIRCASE, ctx11, 1200, seed=1)
-    other = sample_points(ctx11, STAIRCASE.n, 1200, seed=99)
-    with pytest.raises(ValueError, match="orbit of the points"):
-        replace(result, points=other)
-    with pytest.raises(ValueError, match="transform @ moore"):
-        replace(result, generator=result.moore)
+    assert result.moore == moore_matrix(result.points.elements, STAIRCASE.k)
+    assert result.generator == result.transform @ result.moore
+    other = construct(STAIRCASE, ctx11, 1200, seed=99).to_obj()
+    for key, message in [("moore", "orbit of the points"), ("generator", "transform @ moore")]:
+        obj = result.to_obj()
+        obj[key] = other[key]
+        with pytest.raises(ValueError, match=message):
+            ConstructionResult.from_obj(obj)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["certify", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_certificate_consistency_and_round_trip(ctx11):

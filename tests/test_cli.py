@@ -71,6 +71,46 @@ def test_check_malformed_pattern_types(capsys, tmp_path, obj):
     assert "error" in err
 
 
+def _set(path, value):
+    """Mutator that sets obj[path[0]][path[1]]... to value and returns obj."""
+    def mutate(obj):
+        inner = obj
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return obj
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: [],
+    _set(["transform"], 5),
+    _set(["context", "p"], 11.9),
+    _set(["context", "p"], 10 ** 18 + 9),
+    _set(["s_size"], True),
+    _set(["points", "coords", 0, 0], 1.0),
+    _set(["completed_zeros"], [[1.0], [2]]),
+    _set(["transform", "rows"], "2"),
+    _set(["transform", "entries", 0], ["1/0"] * 6),
+    _set(["generator", "entries", 0], [1] * 6),
+])
+def test_certify_malformed_result_types(capsys, good_spec, tmp_path, mutate):
+    out_dir = tmp_path / "run"
+    run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
+                 "--s-size", "200", "--seed", "1", "--out", str(out_dir)])
+    obj = mutate(json.loads((out_dir / "result.json").read_text()))
+    code, _, err = run(capsys, ["certify", write_spec(tmp_path / "typed.json", obj)])
+    assert code == 2
+    assert "error" in err
+
+
+def test_construct_rejects_huge_prime(capsys):
+    code, _, err = run(capsys, ["construct", "--prime", "1000000000000000009", "--n", "4",
+                                "--k", "2", "--s-size", "10"])
+    assert code == 2
+    assert "MAX_CONDUCTOR" in err
+
+
 def test_construct_rejects_negative_retries(capsys, good_spec):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--prime", "7", "--zeros", good_spec, "--s-size", "100",

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclogab import ExactMatrix, bordered_minor_row
+from cyclogab.linalg import _eliminate, _field_quotient, _int_quotient, _mod_reducer
 from conftest import CONTEXTS, elements
-from helpers import leibniz_det
+from helpers import cofactor_det, gaussian_rank, leibniz_det
 
 
 def matrices(p, rows, cols):
@@ -80,6 +81,63 @@ def test_rank_transpose_invariant(data):
     cols = data.draw(st.integers(min_value=1, max_value=3))
     m = data.draw(matrices(5, rows, cols))
     assert m.rank() == m.transpose().rank()
+
+
+def rank_mod(rows, q):
+    """Rank over F_q by Gaussian elimination with modular inverses."""
+    rows = [[v % q for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def shaped_rows(draw, entries, max_side, combine):
+    """A rows x cols list of drawn entries, 0 <= rows, cols <= max_side;
+    sometimes row 3 is replaced by combine(row 1, row 2) to force a rank drop."""
+    r = draw(st.integers(min_value=0, max_value=max_side))
+    c = draw(st.integers(min_value=0, max_value=max_side))
+    rows = [[draw(entries) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        rows[2] = [combine(a, b) for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_eliminate_over_integers_and_fq(data):
+    # sparse entries give zero pivots and pivot-free columns
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+    rows = shaped_rows(data.draw, entries, 5, lambda a, b: a + 2 * b)
+    before = [row[:] for row in rows]
+    rank, last = _eliminate(rows, _int_quotient)
+    assert rows == before
+    assert rank == gaussian_rank([[Fraction(v) for v in row] for row in rows])
+    if rows and len(rows) == len(rows[0]):
+        assert (last if rank == len(rows) else 0) == cofactor_det(rows, 1)
+    for q in (2, 3, 7, CONTEXTS[5].modulus):
+        image = [[v % q for v in row] for row in rows]
+        assert _eliminate(image, _mod_reducer(q))[0] == rank_mod(rows, q)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_eliminate_over_cyclotomic(data):
+    ctx = CONTEXTS[5]
+    entries = st.one_of(st.just(ctx.zero()), elements(5))
+    rows = shaped_rows(data.draw, entries, 5, lambda a, b: a - b * ctx.zeta(2))
+    rank, last = _eliminate(rows, _field_quotient)
+    assert rank == gaussian_rank(rows)
+    if rows and len(rows) == len(rows[0]):
+        assert (last if rank == len(rows) else ctx.zero()) == cofactor_det(rows, ctx.one())
 
 
 def test_bordered_minor_row_k2(ctx5):
