@@ -22,8 +22,9 @@ from pathlib import Path
 from .certify import DEFAULT_MAX_CHECKS, build_subcode, certify_mrd
 from .construction import ConstructionResult, RetriesExhausted, construct, required_sample_size
 from .cyclotomic import GaloisContext
-from .gmmds import oracle_report, sweep_agreement
-from .supports import SupportSpec, check_condition, complete_sets, required_dimension
+from .gmmds import check_oracle_size, oracle_report, sweep_agreement
+from .supports import (MAX_ROWS, SupportSpec, check_condition, complete_sets,
+                       required_dimension)
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ def _load_spec(args: argparse.Namespace) -> SupportSpec:
         return spec
     if args.n is None or args.k is None:
         raise ValueError("provide --zeros FILE, or both --n and --k for an empty pattern")
+    if args.k > MAX_ROWS:  # refused before the k empty rows are built
+        raise ValueError(f"row count {args.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
     return SupportSpec(args.n, args.k, [()] * args.k)
 
 
@@ -165,6 +168,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         sys.stdout.write(_dump(table))
         return 0 if not table["disagreements"] else 1
     spec = _load_spec(args)
+    check_oracle_size(spec.n)
     if not spec.is_completed():
         if not check_condition(spec)[0]:
             raise ValueError("pattern is neither completed nor completable; "

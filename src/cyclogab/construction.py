@@ -134,7 +134,10 @@ def is_independent(points: Sequence[CycloElement]) -> bool:
 class ConstructionResult:
     """Outcome of a successful build.  ``moore`` is the automorphism orbit of
     the points and ``generator`` is exactly transform @ moore; both are
-    derived on creation, never passed in."""
+    derived on creation, never passed in.  The bookkeeping must match the
+    draw: the points come from attempt ``retries`` (sample seed
+    ``seed + retries``, at most ``max_retries``) with sample set size
+    ``s_size``."""
 
     spec: SupportSpec
     completed: SupportSpec
@@ -155,6 +158,15 @@ class ConstructionResult:
         if not (self.completed.is_completed()
                 and all(a <= b for a, b in zip(self.spec.zeros, self.completed.zeros))):
             raise ValueError("completed pattern must extend the input to k-1 zeros per row")
+        if self.s_size != self.points.sample_set_size:
+            raise ValueError(f"s_size {self.s_size} differs from the sample set size "
+                             f"{self.points.sample_set_size} of the points")
+        if not 0 <= self.retries <= self.max_retries:
+            raise ValueError(f"retries must lie in [0, max_retries = {self.max_retries}], "
+                             f"got {self.retries}")
+        if self.points.seed != self.seed + self.retries:
+            raise ValueError(f"points drawn with seed {self.points.seed}, but draw attempt "
+                             f"{self.retries} of seed {self.seed} uses {self.seed + self.retries}")
         moore = moore_matrix(self.points.elements, k)
         object.__setattr__(self, "moore", moore)
         object.__setattr__(self, "generator", self.transform @ moore)

@@ -17,6 +17,7 @@ determinant has total degree at most k*(k-1)/2.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .supports import SupportSpec, check_condition
 
 SYMBOLIC_MAX_K = 6
 RANDOM_TRIALS = 16
+MAX_ORACLE_N = 1024  # both modes allocate per column: n-coordinate points, n-variable polynomials
 
 
 class SparsePoly:
@@ -213,6 +215,12 @@ class OracleReport:
                    tuple(int(v) for v in w) if w is not None else None)
 
 
+def check_oracle_size(n: int) -> None:
+    """Refuse a column count above MAX_ORACLE_N before anything is allocated."""
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"the oracle supports n <= MAX_ORACLE_N = {MAX_ORACLE_N}, got n={n}")
+
+
 def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
                    trials: int = RANDOM_TRIALS) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether the coefficient determinant is a nonzero polynomial.
@@ -222,6 +230,7 @@ def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
     max(1, 50*k*(k-1)) and answers True on the first nonzero value, returned
     as the witness.
     """
+    check_oracle_size(spec.n)
     if not spec.is_completed():
         raise ValueError("pattern must be completed (k-1 zeros per row) first")
     if mode == "symbolic":
@@ -252,7 +261,8 @@ def oracle_report(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
 def sweep_agreement(n: int = 4, k: int = 3, mode: str = "symbolic", seed: int = 0) -> dict:
     """Compare oracle and combinatorial check over every family of
     (k-1)-subsets of [n]; returns counts plus any disagreeing patterns."""
-    per_row = len(list(itertools.combinations(range(1, n + 1), k - 1)))
+    check_oracle_size(n)
+    per_row = math.comb(n, k - 1)
     if per_row ** k > 100_000:
         raise ValueError(f"sweep of {per_row ** k} families is above the guard")
     families = itertools.product(itertools.combinations(range(1, n + 1), k - 1), repeat=k)

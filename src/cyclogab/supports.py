@@ -4,6 +4,16 @@ A pattern assigns each of the k rows a set of columns that must hold exact
 zeros.  A pattern is feasible for a full-distance code iff every nonempty
 set of rows satisfies: (number of commonly constrained columns) + (number of
 rows) <= k.  Columns are 1-based everywhere, matching the file format.
+
+The condition is decided in polynomial time.  Rows with identical zero sets
+form one group, and groups are ordered by their first row.  For each group
+h, the best row set made of h and some earlier groups is a maximum
+independent set of a bipartite graph (earlier rows against the zero columns
+of h, joined where a row has no zero), found by one maximum matching
+(Koenig-Egervary).  The required dimension is the best of these values.  A
+violated condition is witnessed by the violating row set whose group mask
+(bit b for group b) is the least integer, found with at most one more
+matching per group.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-MAX_ROWS = 24  # enumeration guard: the subset sweep is exponential in k
+MAX_ROWS = 24  # input bound on k; the check itself is polynomial in k
 
 
 class CompletionError(RuntimeError):
@@ -76,46 +86,101 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
-def _distinct_groups(spec: SupportSpec) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    # Identical rows are merged: including one of them in a row subset never
-    # beats including all of them, so the sweep only visits distinct sets.
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, z in enumerate(spec.zeros, start=1):
-        groups.setdefault(z, []).append(i)
-    return sorted(((z, tuple(rows)) for z, rows in groups.items()),
-                  key=lambda item: item[1][0])
+def _column_mask(columns: Iterable[int], width: int) -> int:
+    """Integer with bit j set for each column index j in [0, width)."""
+    bits = bytearray(width // 8 + 1)
+    for j in columns:
+        bits[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(bits, "little")
 
 
-def _subset_values(spec: SupportSpec):
-    """Yield (value, rows) over nonempty row subsets, visiting distinct zero
-    sets with memoized intersections along the subset lattice; value is
-    |common columns| + |rows| maximized over duplicates."""
+def _groups(spec: SupportSpec) -> list[tuple[int, tuple[int, ...]]]:
+    """(column mask, rows) per distinct zero set, in first-row order.
+
+    Column c is bit j of a mask when c is the j-th smallest column of the
+    union of the zero sets, so masks are as wide as the input, whatever n is.
+    """
     if spec.k > MAX_ROWS:
-        raise ValueError(f"row count {spec.k} exceeds the enumeration guard {MAX_ROWS}")
-    groups = _distinct_groups(spec)
-    d = len(groups)
-    inter: list[frozenset[int] | None] = [None] * (1 << d)
-    count: list[int] = [0] * (1 << d)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        li = low.bit_length() - 1
-        rest = mask ^ low
-        if rest:
-            inter[mask] = inter[rest] & groups[li][0]  # type: ignore[operator]
-            count[mask] = count[rest] + len(groups[li][1])
-        else:
-            inter[mask] = groups[li][0]
-            count[mask] = len(groups[li][1])
-        rows = frozenset(r for b in range(d) if mask >> b & 1 for r in groups[b][1])
-        yield len(inter[mask]) + count[mask], rows  # type: ignore[arg-type]
+        raise ValueError(f"row count {spec.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
+    index = {c: j for j, c in enumerate(sorted(frozenset().union(*spec.zeros)))}
+    rows: dict[frozenset[int], list[int]] = {}
+    for i, z in enumerate(spec.zeros, start=1):
+        rows.setdefault(z, []).append(i)
+    return [(_column_mask((index[c] for c in z), len(index)), tuple(r))
+            for z, r in rows.items()]
+
+
+def _matching_size(adjacency: list[int]) -> int:
+    """Size of a maximum matching between left vertices and column bits, by
+    Kuhn's augmenting paths; adjacency[u] is the column mask of vertex u."""
+    owner: dict[int, int] = {}  # matched column bit -> its left vertex
+    taken = 0  # mask of the matched columns
+    seen = 0  # matched columns already reached by the current search
+
+    def augment(u: int) -> bool:
+        nonlocal taken, seen
+        free = adjacency[u] & ~taken
+        if free:
+            bit = free & -free
+            taken |= bit
+            owner[bit] = u
+            return True
+        options = adjacency[u] & ~seen
+        seen |= options
+        while options:
+            bit = options & -options
+            options ^= bit
+            if augment(owner[bit]):
+                owner[bit] = u
+                return True
+        return False
+
+    size = 0
+    for u in range(len(adjacency)):
+        seen = 0
+        size += augment(u)
+    return size
+
+
+def _best_value(columns: int, forced: int, free: list[tuple[int, tuple[int, ...]]]) -> int:
+    """Largest forced + |rows of S| + |columns common to every zero set of S|
+    over the subsets S of the free groups, with columns drawn from the mask.
+
+    A row set S and columns C lying in all its zero sets form an independent
+    set of the bipartite graph joining each free row to the columns of the
+    mask it has no zero in, so by Koenig-Egervary the largest |S| + |C| is
+    the vertex count minus a maximum matching.  Identical rows are separate
+    vertices.
+    """
+    adjacency = [columns & ~mask for mask, rows in free for _ in rows]
+    return forced + len(adjacency) + columns.bit_count() - _matching_size(adjacency)
+
+
+def _top_values(groups: list[tuple[int, tuple[int, ...]]]):
+    """Yield, for each group h, the largest value of a row set whose groups
+    are h and some of the earlier ones."""
+    for h, (columns, rows) in enumerate(groups):
+        yield _best_value(columns, len(rows), groups[:h])
 
 
 def check_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
-    """Decide pattern feasibility; on failure also return a violating row set."""
-    for value, rows in _subset_values(spec):
-        if value > spec.k:
-            return False, rows
-    return True, None
+    """Decide pattern feasibility; on failure also return a violating row set.
+
+    The witness is the violating row set whose group mask (bit b for group
+    b) is the least integer.  Its last group is the first h with a value
+    above k; then each earlier group, latest first, is left out whenever a
+    violating set remains without it, and kept otherwise.
+    """
+    groups = _groups(spec)
+    top = next((h for h, value in enumerate(_top_values(groups)) if value > spec.k), None)
+    if top is None:
+        return True, None
+    columns, rows = groups[top][0], list(groups[top][1])
+    for b in reversed(range(top)):
+        if _best_value(columns, len(rows), groups[:b]) <= spec.k:
+            columns &= groups[b][0]
+            rows += groups[b][1]
+    return False, frozenset(rows)
 
 
 def required_dimension(spec: SupportSpec) -> int:
@@ -124,7 +189,7 @@ def required_dimension(spec: SupportSpec) -> int:
     Equals the maximum over nonempty row subsets of |common columns| + |rows|;
     the pattern is feasible at dimension k exactly when this is <= k.
     """
-    return max(value for value, _ in _subset_values(spec))
+    return max(_top_values(_groups(spec)))
 
 
 def complete_sets(spec: SupportSpec) -> SupportSpec:

@@ -59,6 +59,45 @@ def brute_required_dimension(spec: SupportSpec) -> int:
     return best
 
 
+def subset_values(spec: SupportSpec):
+    """Yield (value, rows) over nonempty row subsets in increasing order of
+    their group mask (bit b for the b-th distinct zero set, in first-row
+    order), with memoized intersections along the subset lattice; value is
+    |common columns| + |rows| with every copy of each chosen zero set.
+
+    The walk visits all 2^d group masks; it is the reference that the
+    matching-based check in ``supports`` must match in verdict, witness
+    and ell.
+    """
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, z in enumerate(spec.zeros, start=1):
+        groups.setdefault(z, []).append(i)
+    zs, members = list(groups), list(groups.values())
+    d = len(zs)
+    inter: list[frozenset[int]] = [frozenset()] * (1 << d)
+    count = [0] * (1 << d)
+    for mask in range(1, 1 << d):
+        low = mask & -mask
+        li = low.bit_length() - 1
+        rest = mask ^ low
+        inter[mask] = inter[rest] & zs[li] if rest else zs[li]
+        count[mask] = count[rest] + len(members[li])
+        rows = frozenset(r for b in range(d) if mask >> b & 1 for r in members[b])
+        yield len(inter[mask]) + count[mask], rows
+
+
+def enumerated_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
+    """Verdict and witness (the first violating row set of the walk)."""
+    for value, rows in subset_values(spec):
+        if value > spec.k:
+            return False, rows
+    return True, None
+
+
+def enumerated_required_dimension(spec: SupportSpec) -> int:
+    return max(value for value, _ in subset_values(spec))
+
+
 def gaussian_rank(rows) -> int:
     """Rank by textbook Gaussian elimination with field division; entries are
     Fractions or field elements."""

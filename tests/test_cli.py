@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclogab import Certificate, ConstructionResult, SubcodeResult
 from cyclogab.cli import main
@@ -104,6 +110,29 @@ def test_certify_malformed_result_types(capsys, good_spec, tmp_path, mutate):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mutate, reason", [
+    (_set(["s_size"], 7), "sample set size"),
+    (_set(["points", "sample_set_size"], 300), "sample set size"),
+    (_set(["retries"], 65), "retries must lie in"),
+    (_set(["retries"], -1), "retries must lie in"),
+    (_set(["max_retries"], -1), "retries must lie in"),
+    (_set(["seed"], 2), "points drawn with seed"),
+    (_set(["points", "seed"], 5), "points drawn with seed"),
+    (lambda obj: {**obj, "s_size": 7, "retries": 50, "max_retries": 3}, "sample set size"),
+])
+def test_certify_inconsistent_bookkeeping(capsys, good_spec, tmp_path, mutate, reason):
+    # construct draws attempt a with seed + a at the stored sample set size,
+    # so a result whose counters disagree with its points is refused on load
+    out_dir = tmp_path / "run"
+    run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
+                 "--s-size", "200", "--seed", "1", "--out", str(out_dir)])
+    obj = mutate(json.loads((out_dir / "result.json").read_text()))
+    code, out, err = run(capsys, ["certify", write_spec(tmp_path / "edited.json", obj)])
+    assert code == 2
+    assert out == ""
+    assert reason in err and "Traceback" not in err
+
+
 def test_construct_rejects_huge_prime(capsys):
     code, _, err = run(capsys, ["construct", "--prime", "1000000000000000009", "--n", "4",
                                 "--k", "2", "--s-size", "10"])
@@ -117,6 +146,30 @@ def test_construct_rejects_negative_retries(capsys, good_spec):
               "--max-retries", "-1"])
     assert exc.value.code == 2
     assert "--max-retries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["randomized", "symbolic"])
+def test_oracle_rejects_large_n(capsys, tmp_path, mode):
+    path = write_spec(tmp_path / "wide.json", {"n": 20_000_000, "k": 1, "zeros": [[]]})
+    code, out, err = run(capsys, ["oracle", "--mode", mode, "--zeros", path])
+    assert code == 2
+    assert out == ""
+    assert "MAX_ORACLE_N" in err
+    code, _, _ = run(capsys, ["check", "--zeros", path])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["check", "--n", "1000000000", "--k", "1000000000"], "MAX_ROWS"),
+    (["oracle", "--sweep", "--n", "10000000", "--k", "2"], "MAX_ORACLE_N"),
+    # one family of one (k-1)-subset passes the family guard, so n is
+    # bounded first: the sweep would otherwise build all n columns
+    (["oracle", "--sweep", "--n", "2000", "--k", "2001"], "MAX_ORACLE_N"),
+])
+def test_huge_flag_sizes_refused(capsys, argv, reason):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert reason in err
 
 
 def test_check_missing_file(capsys):
@@ -283,3 +336,40 @@ def test_oracle_violating_pattern_exit(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["condition"] is False and report["det_p_nonzero"] is False
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2, max_value=30) | st.integers()
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def small_patterns(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=k, max_value=10))
+    zeros = draw(st.lists(st.lists(st.integers(min_value=1, max_value=n), max_size=k),
+                          min_size=k, max_size=k))
+    return {"n": n, "k": k, "zeros": zeros}
+
+
+PATTERN_OBJECTS = st.one_of(
+    small_patterns(),
+    st.fixed_dictionaries({"n": JSON_VALUES, "k": JSON_VALUES, "zeros": JSON_VALUES}),
+    JSON_VALUES)
+
+
+@pytest.mark.parametrize("command", [["check"], ["oracle", "--mode", "randomized"]])
+@given(obj=PATTERN_OBJECTS)
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes(command, obj):
+    # any JSON value as a pattern file: exit 0, 1 or 2, never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pattern.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(command + ["--zeros", str(path)])
+    assert code in (0, 1, 2)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from cyclogab import (CompletionError, SupportSpec, check_condition, complete_sets,
                       required_dimension)
-from helpers import brute_condition, brute_required_dimension
+from helpers import (brute_condition, brute_required_dimension, enumerated_condition,
+                     enumerated_required_dimension)
 
 
 def random_specs(max_n=8, max_k=4, satisfying=None):
@@ -69,6 +70,45 @@ def test_condition_matches_brute_force(spec):
 @settings(max_examples=80)
 def test_condition_iff_dimension_bound(spec):
     assert check_condition(spec)[0] == (required_dimension(spec) <= spec.k)
+
+
+@st.composite
+def specs_with_duplicates(draw, max_k=10):
+    # k rows drawn from at most k-1 distinct zero sets, so some rows repeat
+    k = draw(st.integers(min_value=2, max_value=max_k))
+    n = draw(st.integers(min_value=k, max_value=k + 4))
+    bases = draw(st.lists(st.sets(st.integers(min_value=1, max_value=n), max_size=k),
+                          min_size=1, max_size=k - 1))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(bases) - 1),
+                          min_size=k, max_size=k))
+    return SupportSpec(n, k, [bases[i] for i in picks])
+
+
+@given(st.one_of(specs_with_duplicates(), random_specs(max_n=14, max_k=10)))
+@settings(max_examples=150, deadline=None)
+def test_matching_matches_enumeration(spec):
+    # verdict, witness (least violating group mask) and ell of the matching
+    # analysis equal those of the exponential subset walk
+    assert check_condition(spec) == enumerated_condition(spec)
+    assert required_dimension(spec) == enumerated_required_dimension(spec)
+
+
+def test_matching_at_the_row_bound():
+    # 24 distinct rows: only the full row set violates, which is the last of
+    # the 2^24 - 1 subsets an enumeration would visit
+    spec = SupportSpec(30, 24, [(i, 25) for i in range(1, 25)])
+    assert check_condition(spec) == (False, frozenset(range(1, 25)))
+    assert required_dimension(spec) == 25
+
+
+def test_matching_with_huge_column_indices():
+    # columns are indexed by their rank among the zero columns, never by value
+    feasible = SupportSpec(10**9, 2, [[10**9], [1]])
+    assert check_condition(feasible) == (True, None)
+    assert required_dimension(feasible) == 2
+    violated = SupportSpec(10**9, 2, [[10**9], [10**9]])
+    assert check_condition(violated) == (False, frozenset({1, 2}))
+    assert required_dimension(violated) == 3
 
 
 def test_completion_two_empty_rows():
