@@ -12,6 +12,7 @@ certificate does not pass, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -47,14 +48,22 @@ def _dump(obj: dict) -> str:
 
 def _write(out_dir: Path, name: str, obj: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(_dump(obj), encoding="utf-8")
+    with open(out_dir / name, "w", encoding="utf-8") as fh:  # streamed: no chunk list
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path: str) -> object:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_spec(args: argparse.Namespace) -> SupportSpec:
     if args.zeros is not None:
-        with open(args.zeros, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        spec = SupportSpec.from_obj(obj)
+        spec = SupportSpec.from_obj(_read_json(args.zeros))
         if args.n is not None and args.n != spec.n:
             raise ValueError(f"--n {args.n} does not match the pattern file (n={spec.n})")
         if args.k is not None and args.k != spec.k:
@@ -151,8 +160,7 @@ def cmd_subcode(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    with open(args.result, "r", encoding="utf-8") as fh:
-        result = ConstructionResult.from_obj(json.load(fh))
+    result = ConstructionResult.from_obj(_read_json(args.result))
     check_minors = args.check_minors if args.check_minors is not None \
         else _sweep_fits_budget(result.spec.n, result.spec.k, result.spec.k)
     cert = certify_mrd(result, check_minors=check_minors)
@@ -255,12 +263,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        # A call leaves reference cycles (the argparse parser, json's indent
+        # encoder).  Integer field arithmetic allocates too little to trigger
+        # young collections often, so free them here before they reach the
+        # oldest generation and pile up across in-process calls.
+        gc.collect(1)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from typing import Sequence, Union
 
 from .cyclotomic import CycloElement, GaloisContext
 from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row, is_invertible
-from .supports import SupportSpec, _int_field, _is_int_rows, check_condition, complete_sets
+from .supports import (SupportSpec, _check_shape, _int_field, _is_int_rows, check_condition,
+                       complete_sets)
 
 
 class RetriesExhausted(RuntimeError):
@@ -75,8 +76,9 @@ def required_sample_size(n: int, k: int, epsilon: Union[float, str, Fraction]) -
     """Smallest sample-set size with failure bound (n + k*(k-1)) / size <= epsilon.
 
     Floats are read with decimal semantics ("0.01" means exactly 1/100), so
-    the ceiling is computed exactly.
+    the ceiling is exact; a shape outside 1 <= k <= n raises ValueError.
     """
+    _check_shape(n, k)
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -119,14 +121,11 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
 
 def is_independent(points: Sequence[CycloElement]) -> bool:
     """True iff the points are linearly independent over Q, decided as full
-    row rank of the n x (p-1) coordinate matrix, each row scaled to integers
-    by the common denominator of its coefficients."""
+    row rank of the n x (p-1) integer matrix of their coefficient numerators
+    (each row is its point's coordinates times a positive denominator)."""
     if not points:
         raise ValueError("need at least one point")
-    rows = []
-    for x in points:
-        scale = math.lcm(*(c.denominator for c in x.coeffs))
-        rows.append([c.numerator * (scale // c.denominator) for c in x.coeffs])
+    rows = [x.numerators for x in points]
     return _eliminate(rows, _int_quotient)[0] == len(rows)
 
 

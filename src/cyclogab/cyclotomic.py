@@ -1,13 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p), p an odd prime.
 
-An element is a vector of ``fractions.Fraction`` coefficients over the power
-basis 1, zeta, ..., zeta^(p-2), so every value is exact and canonically
-represented (lowest terms, positive denominator).  Products are reduced with
-the relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The inverse of a
-is the product of its m - 1 nontrivial conjugates divided by the norm N(a),
-the product of all m conjugates, which is a nonzero rational for a != 0.
-Field operations cost O(p^2) coefficient operations, so the conductor is
-bounded by ``MAX_CONDUCTOR``.
+An element is a tuple of integer numerators over the power basis 1, zeta,
+..., zeta^(p-2) and one positive common denominator, in lowest terms, so equal
+values have equal representations.  Values of Z[zeta], all the construction
+builds, have denominator 1 and plain integer arithmetic; ``Fraction`` appears
+only at the boundary (constructor, rational scalars, ``coeffs``, JSON strings).
+Products use zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The inverse of a is
+the product of its m - 1 nontrivial conjugates divided by the norm N(a), the
+product of all m conjugates, a nonzero rational for a != 0.  Field operations
+cost O(p^2) integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
 
 The automorphism group over Q is cyclic of order m = p - 1.  The generator
 used throughout this package sends zeta to zeta^g, where g is the smallest
@@ -18,10 +19,10 @@ rational, i.e. when all coefficients past the constant one vanish.
 
 Fast nonzero proofs.  For the smallest prime q > 2^61 with q = 1 (mod p) the
 map zeta -> omega, with omega of order p in F_q, is a ring homomorphism from
-the elements whose coefficient denominators are prime to q onto F_q.  A
-nonzero image therefore proves that the element is nonzero; a zero image
-proves nothing and the caller decides that value again exactly.  q and omega
-depend only on p, so no file records them.
+the elements whose denominator is prime to q onto F_q.  A nonzero image
+therefore proves that the element is nonzero; a zero image proves nothing and
+the caller decides that value again exactly.  q and omega depend only on p, so
+no file records them.
 
 All values are immutable after construction; operations are pure functions,
 safe to share between threads.
@@ -30,6 +31,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -38,9 +40,9 @@ from .supports import _is_int
 Rational = Fraction  # canonical scalar type of the base field
 Scalar = Union[int, Fraction]
 
-# Largest accepted conductor.  One multiply takes (p-1)^2 Fraction products,
-# 0.37 s at p = 257 with CPython 3.11 on a 2-vCPU x86-64 machine, and a
-# construction needs hundreds of them.
+# Largest accepted conductor.  One multiply takes (p-1)^2 integer products,
+# 9 to 16 ms at p = 257 (13- to 61-bit coefficients) with CPython 3.11 on a
+# 2-vCPU x86-64 machine, and a construction needs hundreds of them.
 MAX_CONDUCTOR = 257
 
 
@@ -134,21 +136,22 @@ class GaloisContext:
         return CycloElement(self, coeffs)
 
     def zero(self) -> CycloElement:
-        return CycloElement(self, (0,) * self.m)
+        return _element(self, (0,) * self.m)
 
     def one(self) -> CycloElement:
         return self.from_rational(1)
 
     def from_rational(self, value: Scalar) -> CycloElement:
-        return CycloElement(self, (Fraction(value),) + (Fraction(0),) * (self.m - 1))
+        f = Fraction(value)
+        return _element(self, (f.numerator,) + (0,) * (self.m - 1), f.denominator)
 
     def zeta(self, power: int = 1) -> CycloElement:
         """zeta^power, reduced into the power basis."""
         t = power % self.p
         if t < self.m:
-            return CycloElement(self, tuple(1 if i == t else 0 for i in range(self.m)))
+            return _element(self, tuple(1 if i == t else 0 for i in range(self.m)))
         # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        return CycloElement(self, (-1,) * self.m)
+        return _element(self, (-1,) * self.m)
 
     @property
     def basis(self) -> tuple[CycloElement, ...]:
@@ -165,17 +168,39 @@ class GaloisContext:
         return cls(obj.get("p"))
 
 
-class CycloElement:
-    """One value of Q(zeta_p): an immutable coefficient vector over the power basis."""
+def _element(ctx: GaloisContext, numerators, denominator: int = 1) -> CycloElement:
+    # numerators / denominator (> 0) in lowest terms; denominator 1 needs no gcd
+    if denominator != 1:
+        g = math.gcd(denominator, *numerators)
+        if g != 1:
+            numerators = [v // g for v in numerators]
+            denominator //= g
+    el = object.__new__(CycloElement)
+    el.ctx = ctx
+    el.numerators = tuple(numerators)
+    el.denominator = denominator
+    return el
 
-    __slots__ = ("ctx", "coeffs")
+
+class CycloElement:
+    """One value of Q(zeta_p): integer numerators over one positive denominator."""
+
+    __slots__ = ("ctx", "numerators", "denominator")
 
     def __init__(self, ctx: GaloisContext, coeffs: Iterable[Scalar]) -> None:
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != ctx.m:
             raise ValueError(f"expected {ctx.m} coefficients, got {len(cs)}")
+        den = math.lcm(*(c.denominator for c in cs))
         self.ctx = ctx
-        self.coeffs = cs
+        self.numerators = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.denominator = den
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """Power-basis coefficients, each in lowest terms (ints when integral)."""
+        d = self.denominator
+        return self.numerators if d == 1 else tuple(Fraction(v, d) for v in self.numerators)
 
     # -- coercion -------------------------------------------------------
 
@@ -196,50 +221,46 @@ class CycloElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CycloElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs)))
+        da, db = self.denominator, rhs.denominator  # both 1 on Z[zeta]: no gcd
+        return _element(self.ctx, [x * db + y * da for x, y in
+                                   zip(self.numerators, rhs.numerators)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloElement:
-        return CycloElement(self.ctx, tuple(-c for c in self.coeffs))
+        return _element(self.ctx, [-v for v in self.numerators], self.denominator)
 
     def __sub__(self, other) -> CycloElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CycloElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs)))
+        da, db = self.denominator, rhs.denominator
+        return _element(self.ctx, [x * db - y * da for x, y in
+                                   zip(self.numerators, rhs.numerators)], da * db)
 
     def __rsub__(self, other) -> CycloElement:
         return (-self) + other
 
     def __mul__(self, other) -> CycloElement:
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloElement(self.ctx, tuple(c * f for c in self.coeffs))
+            return _element(self.ctx, [v * other.numerator for v in self.numerators],
+                            self.denominator * other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         m, p = self.ctx.m, self.ctx.p
-        raw = [Fraction(0)] * (2 * m - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(rhs.coeffs):
-                    if bj:
-                        raw[i + j] += ai * bj
-        out = [Fraction(0)] * m
-        tail = Fraction(0)  # accumulated coefficient of zeta^(p-1)
-        for t, c in enumerate(raw):
-            if not c:
-                continue
-            r = t % p
-            if r < m:
-                out[r] += c
-            else:
-                tail += c
-        if tail:
-            for i in range(m):
-                out[i] -= tail
-        return CycloElement(self.ctx, out)
+        raw = [0] * (2 * m - 1)
+        bn = rhs.numerators
+        for i, a in enumerate(self.numerators):
+            if a:
+                for j, b in enumerate(bn):
+                    if b:
+                        raw[i + j] += a * b
+        # zeta^t = zeta^(t-p) for t >= p; zeta^(p-1) = zeta^m is minus the basis sum
+        tail = raw[m]
+        high = raw[p:] + [0, 0]
+        out = [lo + hi - tail for lo, hi in zip(raw, high)]
+        return _element(self.ctx, out, self.denominator * rhs.denominator)
 
     __rmul__ = __mul__
 
@@ -288,9 +309,9 @@ class CycloElement:
         if e == 0:
             return self
         shift = pow(ctx.g, e, ctx.p)
-        out = [Fraction(0)] * ctx.m
-        tail = Fraction(0)  # accumulated coefficient of zeta^(p-1)
-        for i, c in enumerate(self.coeffs):
+        out = [0] * ctx.m
+        tail = 0  # accumulated coefficient of zeta^(p-1)
+        for i, c in enumerate(self.numerators):
             if not c:
                 continue
             t = (shift * i) % ctx.p
@@ -299,43 +320,39 @@ class CycloElement:
             else:
                 tail += c
         if tail:
-            for i in range(ctx.m):
-                out[i] -= tail
-        return CycloElement(ctx, out)
+            out = [v - tail for v in out]
+        return _element(ctx, out, self.denominator)
 
     # -- predicates and views ---------------------------------------------
 
     def fq_image(self) -> int | None:
         """Image under zeta -> omega in F_q (q = ``ctx.modulus``), or None when
-        q divides a coefficient denominator.  Nonzero proves self != 0."""
+        q divides the denominator.  Nonzero proves self != 0."""
         q, powers = _splitting_prime(self.ctx.p)
-        acc = 0
-        for c, w in zip(self.coeffs, powers):
-            if c:
-                if c.denominator % q == 0:
-                    return None
-                acc += c.numerator * pow(c.denominator, -1, q) * w
-        return acc % q
+        acc = sum(c * w for c, w in zip(self.numerators, powers) if c)
+        den = self.denominator
+        return None if den % q == 0 else acc * pow(den, -1, q) % q
 
     def is_rational(self) -> bool:
         """True iff the element lies in the base field Q."""
-        return not any(self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.numerators[0], self.denominator)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return self.ctx.p == other.ctx.p and self.coeffs == other.coeffs
+        return (self.ctx.p == other.ctx.p and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.coeffs))
+        return hash((self.ctx.p, self.numerators, self.denominator))
 
     # -- serialization ------------------------------------------------------
 

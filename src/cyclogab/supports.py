@@ -39,8 +39,7 @@ class SupportSpec:
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
         zs = tuple(frozenset(int(c) for c in z) for z in zeros)
-        if k < 1 or n < k:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        _check_shape(n, k)
         if len(zs) != k:
             raise ValueError(f"expected {k} zero sets, got {len(zs)}")
         for i, z in enumerate(zs, start=1):
@@ -66,6 +65,12 @@ class SupportSpec:
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
+
+
+def _check_shape(n: int, k: int) -> None:
+    """Refuse a code shape outside 1 <= k <= n with ValueError."""
+    if k < 1 or n < k:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def _is_int(value) -> bool:

@@ -17,6 +17,79 @@ def close(a: complex, b: complex, tol: float = 1e-8) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+class FractionElement:
+    """Reference value of Q(zeta_p) held as a plain tuple of Fractions, with
+    every operation written the textbook way: products reduce each term by
+    zeta^(p-1) = -(1 + ... + zeta^(p-2)), automorphisms map basis elements one
+    by one, and the inverse solves a * x = 1 by Gaussian elimination."""
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == ctx.m
+
+    def _zeta(self, t):
+        m, t = self.ctx.m, t % self.ctx.p
+        return FractionElement(self.ctx, [-1] * m if t == m else [int(i == t) for i in range(m)])
+
+    def scale(self, s):
+        return FractionElement(self.ctx, [c * s for c in self.coeffs])
+
+    def __add__(self, other):
+        return FractionElement(self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        total = FractionElement(self.ctx, [0] * self.ctx.m)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                total = total + self._zeta(i + j).scale(a * b)
+        return total
+
+    def aut(self, e):
+        shift = pow(self.ctx.g, e, self.ctx.p)
+        total = FractionElement(self.ctx, [0] * self.ctx.m)
+        for i, c in enumerate(self.coeffs):
+            total = total + self._zeta(shift * i).scale(c)
+        return total
+
+    def inverse(self):
+        m = self.ctx.m
+        cols = [(self * self._zeta(j)).coeffs for j in range(m)]
+        aug = [[cols[j][i] for j in range(m)] + [Fraction(int(i == 0))] for i in range(m)]
+        for c in range(m):
+            piv = next(r for r in range(c, m) if aug[r][c])
+            aug[c], aug[piv] = aug[piv], aug[c]
+            aug[c] = [v / aug[c][c] for v in aug[c]]
+            for r in range(m):
+                if r != c and aug[r][c]:
+                    f = aug[r][c]
+                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+        return FractionElement(self.ctx, [row[m] for row in aug])
+
+    def fq_image(self):
+        p, q = self.ctx.p, self.ctx.modulus
+        a = 2
+        while pow(a, (q - 1) // p, q) == 1:
+            a += 1
+        omega = pow(a, (q - 1) // p, q)
+        if any(c.denominator % q == 0 for c in self.coeffs):
+            return None
+        return sum(c.numerator * pow(c.denominator, -1, q) * pow(omega, i, q)
+                   for i, c in enumerate(self.coeffs)) % q
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def to_strings(self):
+        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+
+
 def perm_sign(perm) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                      if perm[i] > perm[j])

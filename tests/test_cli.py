@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -187,6 +188,36 @@ def test_bound(capsys):
 def test_bound_rejects_bad_epsilon(capsys):
     code, _, err = run(capsys, ["bound", "--n", "6", "--k", "3", "--epsilon", "7"])
     assert code == 2
+
+
+@pytest.mark.parametrize("n, k", [("-5", "2"), ("3", "0"), ("3", "4")])
+def test_bound_rejects_bad_shape(capsys, n, k):
+    code, out, err = run(capsys, ["bound", "--n", n, "--k", k, "--epsilon", "0.01"])
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= k <= n, got k={k}, n={n}\n"
+
+
+@pytest.mark.parametrize("command", [["check", "--zeros"], ["certify"]])
+def test_deeply_nested_json_refused(capsys, tmp_path, command):
+    # the JSON decoder recurses per level and would raise RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, command + [str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_main_frees_its_reference_cycles(capsys):
+    # the argparse parser and json's indent encoder are cyclic; main frees
+    # them itself, so repeated in-process calls do not pile them up
+    gc.collect()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(10 ** 9)  # no automatic collection during the call
+    try:
+        assert main(["check", "--n", "5", "--k", "3"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 def test_construct_writes_files(capsys, good_spec, tmp_path):

@@ -26,6 +26,12 @@ def test_required_sample_size_range(eps):
         required_sample_size(6, 3, eps)
 
 
+@pytest.mark.parametrize("n, k", [(-5, 2), (3, 0), (3, 4)])
+def test_required_sample_size_shape(n, k):
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        required_sample_size(n, k, "0.01")
+
+
 def test_sample_points_deterministic(ctx11):
     a = sample_points(ctx11, 6, 1200, seed=42)
     b = sample_points(ctx11, 6, 1200, seed=42)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cyclogab import CycloElement, GaloisContext
 from conftest import CONTEXTS, elements, small_rationals
-from helpers import close, embed
+from helpers import FractionElement, close, embed
 
 
 def brute_smallest_primitive_root(p):
@@ -196,3 +197,48 @@ def test_rational_detection(data):
     assert ctx.from_rational(q).rational_value() == q
     if q:
         assert not (ctx.from_rational(q) + ctx.zeta(1)).is_rational()
+
+
+def coefficients(ctx, integral):
+    """Coefficient lists with numerators up to 2^70; non-integral lists draw
+    small denominators and, for the F_q map, the modulus q itself."""
+    den = st.just(1) if integral else st.sampled_from([1, 1, 2, 3, 4, 6, 9, ctx.modulus])
+    coeff = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), den)
+    return st.lists(st.one_of(st.just(Fraction(0)), coeff), min_size=ctx.m, max_size=ctx.m)
+
+
+def assert_canonical(x):
+    assert x.denominator > 0
+    assert math.gcd(x.denominator, *x.numerators) == 1
+    assert all(type(v) is int for v in x.numerators + (x.denominator,))
+    twin = x.ctx.element(x.coeffs)  # the same value built from its rationals
+    assert twin == x and hash(twin) == hash(x)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_matches_fraction_reference(data):
+    ctx = CONTEXTS[data.draw(st.sampled_from([3, 5, 7, 11]))]
+    integral = data.draw(st.booleans())
+    ca, cb = data.draw(coefficients(ctx, integral)), data.draw(coefficients(ctx, integral))
+    scalar = data.draw(st.one_of(st.integers(-2 ** 70, 2 ** 70), small_rationals()))
+    e = data.draw(st.integers(min_value=0, max_value=ctx.m))
+    a, b = ctx.element(ca), ctx.element(cb)
+    ra, rb = FractionElement(ctx, ca), FractionElement(ctx, cb)
+    pairs = [(a, ra), (a * b, ra * rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+             (a.aut(e), ra.aut(e)), (a * scalar, ra.scale(scalar)),
+             (scalar * a, ra.scale(scalar)), (a - a, ra - ra),
+             (a + scalar, ra + FractionElement(ctx, [scalar] + [0] * (ctx.m - 1)))]
+    if a:
+        pairs.append((a.inverse(), ra.inverse()))
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.coeffs == want.coeffs
+        assert got.fq_image() == want.fq_image()
+        assert got.is_rational() == want.is_rational()
+        assert got.to_strings() == want.to_strings()
+        assert CycloElement.from_strings(ctx, got.to_strings()) == got
+    assert (a - a).numerators == (0,) * ctx.m and (a - a).denominator == 1
+    # equal values reached by different routes compare and hash equal
+    for x, y in [((a + b) - b, a), (a * b, b * a), (a.aut(e).aut(ctx.m - e), a)]:
+        assert x == y and hash(x) == hash(y)
