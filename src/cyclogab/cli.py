@@ -12,6 +12,7 @@ certificate does not pass, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -216,6 +217,7 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="DIR", help="directory for the emitted JSON files")
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclogab",
@@ -271,10 +273,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     finally:
-        # A call leaves reference cycles (the argparse parser, json's indent
-        # encoder).  Integer field arithmetic allocates too little to trigger
-        # young collections often, so free them here before they reach the
-        # oldest generation and pile up across in-process calls.
+        # A call leaves reference cycles (json's indent encoder).  Integer
+        # field arithmetic allocates too little to trigger young collections
+        # often, so free them here before they reach the oldest generation
+        # and pile up across in-process calls.
         gc.collect(1)
 
 

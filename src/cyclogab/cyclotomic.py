@@ -3,12 +3,17 @@
 An element is a tuple of integer numerators over the power basis 1, zeta,
 ..., zeta^(p-2) and one positive common denominator, in lowest terms, so equal
 values have equal representations.  Values of Z[zeta], all the construction
-builds, have denominator 1 and plain integer arithmetic; ``Fraction`` appears
-only at the boundary (constructor, rational scalars, ``coeffs``, JSON strings).
-Products use zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  The inverse of a is
-the product of its m - 1 nontrivial conjugates divided by the norm N(a), the
-product of all m conjugates, a nonzero rational for a != 0.  Field operations
-cost O(p^2) integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
+builds, have denominator 1 and plain integer arithmetic.  ``Fraction``
+appears only at the boundary: the constructor, rational scalars, ``coeffs``
+of non-integral values (and so ``to_strings``), and JSON strings other than
+the exact "n/1" form, which ``from_strings`` reads with ``int()``.
+
+Products use zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), schoolbook for
+one product and packed into big integers for the dot products of a matrix
+product (``dot_products``).  The inverse of a is the product of its m - 1
+nontrivial conjugates divided by the norm N(a), the product of all m
+conjugates, a nonzero rational for a != 0.  Field operations cost O(p^2)
+integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
 
 The automorphism group over Q is cyclic of order m = p - 1.  The generator
 used throughout this package sends zeta to zeta^g, where g is the smallest
@@ -32,8 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import chain
+from typing import Iterable, Sequence, Union
 
 from .supports import _is_int
 
@@ -153,11 +160,6 @@ class GaloisContext:
         # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
         return _element(self, (-1,) * self.m)
 
-    @property
-    def basis(self) -> tuple[CycloElement, ...]:
-        """The fixed power basis 1, zeta, ..., zeta^(m-1)."""
-        return tuple(self.zeta(i) for i in range(self.m))
-
     def to_obj(self) -> dict:
         return {"p": self.p}
 
@@ -180,6 +182,62 @@ def _element(ctx: GaloisContext, numerators, denominator: int = 1) -> CycloEleme
     el.numerators = tuple(numerators)
     el.denominator = denominator
     return el
+
+
+def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
+                 cols: Sequence[Sequence[CycloElement]]) -> list[CycloElement]:
+    """The dot products rows[i] . cols[j], row-major, by Kronecker substitution.
+
+    Each operand is scaled to its common denominator and each element packed
+    into one integer, numerator i at bit w*i.  The digit width w leaves room
+    for any sum of products, so a dot product is one sum of big-integer
+    products whose digits are the coefficients of the unreduced polynomial.
+    Those are unpacked once, as signed digits, and folded once by
+    zeta^(p-1) = -(1 + ... + zeta^(p-2)) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 8.4).  Packing one product alone does not pay:
+    the unpack and the fold cost more than the schoolbook multiply they save.
+    """
+    m, p = ctx.m, ctx.p
+    den_l, lhs = _common_numerators(rows)
+    den_r, rhs = _common_numerators(cols)
+    inner = len(rows[0]) if rows else 0
+    top_l = max(map(abs, chain.from_iterable(nums for vec in lhs for nums in vec)), default=0)
+    top_r = max(map(abs, chain.from_iterable(nums for vec in rhs for nums in vec)), default=0)
+    # each unreduced coefficient is a sum of at most inner * m products, so
+    # its magnitude is below 2^(width - 1), the range of a signed digit
+    width = (inner * m * top_l * top_r).bit_length() + 1
+    packed_l = [[_pack(nums, width) for nums in vec] for vec in lhs]
+    packed_r = [[_pack(nums, width) for nums in vec] for vec in rhs]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, width * (2 * m - 1), width)
+    offset = sum(half << s for s in shifts)  # makes every digit non-negative
+    den = den_l * den_r
+    out = []
+    for row in packed_l:
+        for col in packed_r:
+            acc = sum(map(operator.mul, row, col)) + offset
+            raw = [(acc >> s & mask) - half for s in shifts]
+            # as in __mul__: zeta^t = zeta^(t-p) for t >= p, and zeta^m is
+            # minus the basis sum
+            tail = raw[m]
+            out.append(_element(ctx, [lo + hi - tail for lo, hi in zip(raw, raw[p:] + [0, 0])],
+                                den))
+    return out
+
+
+def _common_numerators(vectors: Sequence[Sequence[CycloElement]]) -> tuple[int, list[list]]:
+    # every element's numerators over the lcm of all the denominators
+    den = math.lcm(*(e.denominator for vec in vectors for e in vec))
+    return den, [[e.numerators if den == 1 else [v * (den // e.denominator) for v in e.numerators]
+                  for e in vec] for vec in vectors]
+
+
+def _pack(nums: Sequence[int], width: int) -> int:
+    # the sum over i of nums[i] << (width * i)
+    acc = 0
+    for v in reversed(nums):
+        acc = (acc << width) + v
+    return acc
 
 
 class CycloElement:
@@ -277,29 +335,6 @@ class CycloElement:
             conj = conj * self.aut(e)
         return conj * (1 / (self * conj).rational_value())
 
-    def __truediv__(self, other) -> CycloElement:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other) -> CycloElement:
-        return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> CycloElement:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.ctx.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- automorphism -----------------------------------------------------
 
     def aut(self, e: int) -> CycloElement:
@@ -366,6 +401,16 @@ class CycloElement:
         raises ValueError."""
         if not (isinstance(items, list) and all(isinstance(s, str) for s in items)):
             raise ValueError("an element must be a list of coefficient strings")
+        if len(items) == ctx.m:
+            # Z[zeta] values are written "n/1": read n with int() when every
+            # string is exactly what to_strings writes for it
+            try:
+                nums = [int(s[:-2]) for s in items]
+            except ValueError:
+                pass
+            else:
+                if items == [f"{v}/1" for v in nums]:
+                    return _element(ctx, nums)
         try:
             return cls(ctx, [Fraction(s) for s in items])
         except ZeroDivisionError as exc:

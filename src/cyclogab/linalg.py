@@ -7,7 +7,9 @@ reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and a
 multiply by the inverse of the previous pivot over Q(zeta_p).  Determinants
 up to 4x4 use division-free cofactor expansion instead, because a single
 inverse costs more than the whole expansion there.  Zero tests compare
-canonical coefficient vectors, so they are exact.
+canonical coefficient vectors, so they are exact.  The matrix product hands
+rows and columns to ``cyclotomic.dot_products``, which computes each entry
+as one packed big-integer sum of products, exact at any coefficient size.
 
 Full-rank tests go through F_q first (see ``cyclotomic``): ``fq_image``
 reduces a matrix once under zeta -> omega, and ``proves_full_row_rank``
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycloElement, GaloisContext
+from .cyclotomic import CycloElement, GaloisContext, dot_products
 from .supports import _int_field
 
 FqRows = list[list[int]]
@@ -95,19 +97,9 @@ class ExactMatrix:
             raise ValueError("context mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.ctx.zero()
-        out = []
-        for i in range(self.rows):
-            lhs_row = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for t, a in enumerate(lhs_row):
-                    if a:
-                        b = other[t, j]
-                        if b:
-                            acc = acc + a * b
-                out.append(acc)
-        return ExactMatrix(self.ctx, self.rows, other.cols, out)
+        cols = [other.col(j) for j in range(other.cols)]
+        return ExactMatrix(self.ctx, self.rows, other.cols,
+                           dot_products(self.ctx, self.row_lists(), cols))
 
     def det(self) -> CycloElement:
         """Exact determinant of a square matrix."""

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from cyclogab import GaloisContext
 
-CONTEXTS = {p: GaloisContext(p) for p in (3, 5, 7, 11)}
+CONTEXTS = {p: GaloisContext(p) for p in (3, 5, 7, 11, 13)}
 
 
 @pytest.fixture(scope="session")

@@ -173,7 +173,7 @@ def enumerated_required_dimension(spec: SupportSpec) -> int:
 
 def gaussian_rank(rows) -> int:
     """Rank by textbook Gaussian elimination with field division; entries are
-    Fractions or field elements."""
+    Fractions or field elements (divided through their ``inverse``)."""
     rows = [list(row) for row in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -184,7 +184,9 @@ def gaussian_rank(rows) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         for i in range(rank + 1, len(rows)):
             if rows[i][c]:
-                f = rows[i][c] / rows[rank][c]
+                pivot = rows[rank][c]
+                f = rows[i][c] / pivot if isinstance(pivot, Fraction) \
+                    else rows[i][c] * pivot.inverse()
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import Certificate, ConstructionResult, SubcodeResult
+from cyclogab import Certificate, ConstructionResult, SubcodeResult, cli
 from cyclogab.cli import main
 
 
@@ -208,8 +208,8 @@ def test_deeply_nested_json_refused(capsys, tmp_path, command):
 
 
 def test_main_frees_its_reference_cycles(capsys):
-    # the argparse parser and json's indent encoder are cyclic; main frees
-    # them itself, so repeated in-process calls do not pile them up
+    # json's indent encoder is cyclic; main frees it itself, so repeated
+    # in-process calls do not pile it up
     gc.collect()
     thresholds = gc.get_threshold()
     gc.set_threshold(10 ** 9)  # no automatic collection during the call
@@ -218,6 +218,46 @@ def test_main_frees_its_reference_cycles(capsys):
         assert gc.collect() == 0
     finally:
         gc.set_threshold(*thresholds)
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, good_spec, tmp_path):
+    # one parser serves every call in the process; a usage error between
+    # calls, and flags given to one call only, must not reach the next call
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    construct = ["construct", "--prime", "7", "--zeros", good_spec]
+    calls = [
+        construct + ["--s-size", "300", "--seed", "5", "--max-retries", "3",
+                     "--no-check-minors"] + out("a"),
+        construct + ["--epsilon", "0.01", "--s-size", "10"],  # usage error
+        construct + ["--epsilon", "0.01"] + out("b"),
+        ["check", "--zeros", good_spec],
+        ["bound", "--n", "4", "--k", "2"],  # usage error: --epsilon missing
+        ["check", "--n", "4", "--k", "2"],
+        ["certify", str(tmp_path / "a" / "result.json")] + out("c"),
+        ["oracle", "--zeros", good_spec, "--mode", "randomized"],
+    ]
+    parser = cli._build_parser()
+    shared = [call(argv) for argv in calls]
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0, 0, 0]
+    files = {name: (tmp_path / name / "result.json").read_bytes() for name in "ab"}
+    result_b = json.loads(files["b"])
+    assert (result_b["seed"], result_b["max_retries"]) == (0, 64)  # the defaults again
+    for argv, seen in zip(calls, shared):
+        cli._build_parser.cache_clear()  # a fresh parser for this call alone
+        assert call(argv) == seen
+    for name, data in files.items():
+        assert (tmp_path / name / "result.json").read_bytes() == data
 
 
 def test_construct_writes_files(capsys, good_spec, tmp_path):

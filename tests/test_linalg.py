@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from cyclogab import ExactMatrix, bordered_minor_row
 from cyclogab.linalg import _eliminate, _field_quotient, _int_quotient, _mod_reducer
 from conftest import CONTEXTS, elements
-from helpers import cofactor_det, gaussian_rank, leibniz_det
+from helpers import FractionElement, cofactor_det, gaussian_rank, leibniz_det
 
 
 def matrices(p, rows, cols):
@@ -224,3 +225,59 @@ def test_matrix_serialization_round_trip(ctx5):
 def test_entry_context_enforced(ctx5, ctx7):
     with pytest.raises(ValueError):
         ExactMatrix(ctx5, 1, 1, [ctx7.one()])
+
+
+def reference_matmul(lhs: ExactMatrix, rhs: ExactMatrix):
+    """Schoolbook product of Fraction-coefficient references, row-major."""
+    ctx = lhs.ctx
+    out = []
+    for i in range(lhs.rows):
+        for j in range(rhs.cols):
+            acc = FractionElement(ctx, [0] * ctx.m)
+            for t in range(lhs.cols):
+                acc = acc + FractionElement(ctx, lhs[i, t].coeffs) * FractionElement(
+                    ctx, rhs[t, j].coeffs)
+            out.append(acc)
+    return out
+
+
+def assert_product_matches(lhs, rhs):
+    got = lhs @ rhs
+    assert (got.rows, got.cols) == (lhs.rows, rhs.cols)
+    for entry, want in zip(got.entries, reference_matmul(lhs, rhs), strict=True):
+        assert entry.coeffs == want.coeffs
+        assert entry.denominator > 0 and math.gcd(entry.denominator, *entry.numerators) == 1
+
+
+def coefficient_matrices(ctx, rows, cols, integral):
+    """Matrices with zero entries and numerators up to 2^70; non-integral
+    ones draw a different small denominator per coefficient."""
+    den = st.just(1) if integral else st.sampled_from([1, 2, 3, 4, 6, 9])
+    num = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 70, -2 ** 70]))
+    coeffs = st.lists(st.builds(Fraction, num, den), min_size=ctx.m, max_size=ctx.m)
+    entry = st.one_of(st.just(ctx.zero()), coeffs.map(ctx.element))
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: ExactMatrix(ctx, rows, cols, es))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_schoolbook_reference(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 13]))
+    ctx, side = CONTEXTS[p], 2 if p == 13 else 3
+    r, inner, c = (data.draw(st.integers(min_value=0, max_value=side)) for _ in range(3))
+    integral = data.draw(st.booleans())
+    lhs = data.draw(coefficient_matrices(ctx, r, inner, integral))
+    rhs = data.draw(coefficient_matrices(ctx, inner, c, integral))
+    assert_product_matches(lhs, rhs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_matmul_at_the_digit_bound(p, signs):
+    # every coefficient at the largest magnitude: the middle coefficient of
+    # each dot product reaches inner * m * 2^140, the bound the width allows
+    ctx, big = CONTEXTS[p], 2 ** 70
+    lhs = ExactMatrix(ctx, 2, 3, [ctx.element([signs[0] * big] * ctx.m)] * 6)
+    rhs = ExactMatrix(ctx, 3, 2, [ctx.element([signs[1] * big] * ctx.m)] * 6)
+    assert_product_matches(lhs, rhs)
