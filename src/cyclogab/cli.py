@@ -173,7 +173,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.sweep:
-        table = sweep_agreement(n=args.n or 4, k=args.k or 3, mode=args.mode, seed=args.seed)
+        n = 4 if args.n is None else args.n
+        k = 3 if args.k is None else args.k
+        table = sweep_agreement(n=n, k=k, mode=args.mode, seed=args.seed)
         sys.stdout.write(_dump(table))
         return 0 if not table["disagreements"] else 1
     spec = _load_spec(args)

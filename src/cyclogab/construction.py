@@ -235,8 +235,7 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     col_sets = [sorted(z) for z in completed.zeros]
     for attempt in range(max_retries + 1):
         pts = sample_points(ctx, spec.n, s_size, seed + attempt)
-        base = moore_matrix(pts.elements, spec.k)
-        t_rows = [bordered_minor_row(base.submatrix(range(spec.k), [c - 1 for c in cols]))
+        t_rows = [bordered_minor_row(ctx, [pts.elements[c - 1] for c in cols])
                   for cols in col_sets]
         transform = ExactMatrix.from_rows(ctx, t_rows)
         if is_invertible(transform) and is_independent(pts.elements):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .linalg import _eliminate, _int_quotient
-from .supports import SupportSpec, check_condition
+from .supports import SupportSpec, _check_shape, check_condition
 
 SYMBOLIC_MAX_K = 6
 RANDOM_TRIALS = 16
@@ -262,6 +262,7 @@ def sweep_agreement(n: int = 4, k: int = 3, mode: str = "symbolic", seed: int = 
     """Compare oracle and combinatorial check over every family of
     (k-1)-subsets of [n]; returns counts plus any disagreeing patterns."""
     check_oracle_size(n)
+    _check_shape(n, k)
     per_row = math.comb(n, k - 1)
     if per_row ** k > 100_000:
         raise ValueError(f"sweep of {per_row ** k} families is above the guard")

@@ -4,12 +4,14 @@ Every exact rank and determinant question goes through one fraction-free
 (Bareiss) elimination, ``_eliminate``, which keeps intermediate entries equal
 to minors of the input and so bounds coefficient blowup.  Only the per-row
 reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and a
-multiply by the inverse of the previous pivot over Q(zeta_p).  Determinants
-up to 4x4 use division-free cofactor expansion instead, because a single
-inverse costs more than the whole expansion there.  Zero tests compare
-canonical coefficient vectors, so they are exact.  The matrix product hands
-rows and columns to ``cyclotomic.dot_products``, which computes each entry
-as one packed big-integer sum of products, exact at any coefficient size.
+multiply by the inverse of the previous pivot over Q(zeta_p).  Zero tests
+compare canonical coefficient vectors, so they are exact.  The matrix
+product hands rows and columns to ``cyclotomic.dot_products``, which
+computes each entry as one packed big-integer sum of products, exact at any
+coefficient size.
+
+The transform rows (maximal minors of a Moore block) take no determinant:
+``bordered_minor_row`` builds them by condensation in O(k^2) field products.
 
 Full-rank tests go through F_q first (see ``cyclotomic``): ``fq_image``
 reduces a matrix once under zeta -> omega, and ``proves_full_row_rank``
@@ -105,8 +107,8 @@ class ExactMatrix:
         """Exact determinant of a square matrix."""
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
-        if self.rows <= 4:
-            return _det_cofactor(self.ctx, self.row_lists())
+        if not self.rows:  # _eliminate's signed last pivot is the int 1 here
+            return self.ctx.one()
         rank, last = _eliminate(self.row_lists(), _field_quotient)
         return last if rank == self.rows else self.ctx.zero()
 
@@ -143,24 +145,6 @@ class ExactMatrix:
             raise ValueError("matrix entries must be a list")
         return cls(ctx, _int_field(obj, "rows"), _int_field(obj, "cols"),
                    [CycloElement.from_strings(ctx, item) for item in items])
-
-
-def _det_cofactor(ctx: GaloisContext, m: list[list[CycloElement]]) -> CycloElement:
-    n = len(m)
-    if n == 0:
-        return ctx.one()
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = ctx.zero()
-    for j, head in enumerate(m[0]):
-        if not head:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = head * _det_cofactor(ctx, minor)
-        total = total - term if j % 2 else total + term
-    return total
 
 
 def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object]:
@@ -247,18 +231,30 @@ def is_invertible(matrix: ExactMatrix) -> bool:
     return proves_full_row_rank(fq_image(matrix), matrix.ctx.modulus) or bool(matrix.det())
 
 
-def bordered_minor_row(block: ExactMatrix) -> tuple[CycloElement, ...]:
-    """The k determinants det[e_j | block] for a k x (k-1) block, j = 1..k.
+def bordered_minor_row(ctx: GaloisContext,
+                       points: Sequence[CycloElement]) -> tuple[CycloElement, ...]:
+    """The k signed maximal minors of the k x (k-1) Moore block of the points:
+    entry j is det[e_j | block], so the row annihilates the block exactly.
 
-    Entry j is the signed maximal minor of the block with row j removed; the
-    resulting vector v annihilates the block exactly: v . block = 0.
+    The row is (-1)^(k-1) c, where D(U, y) = sum_r c_r aut^r(y) is the Moore
+    determinant of the points U followed by y.  c grows one point x at a time
+    by condensation (Desnanot-Jacobi on the Moore matrix of U, x, y):
+    D(U, x, y) aut(D(U)) = D(U, x) aut(D(U, y)) - aut(D(U, x)) D(U, y), an
+    exact division by aut of the lead D(U); for the second point the 2 x 2
+    minors give c with no division.  A lead of 0 means U is dependent over
+    Q, and then so is every extension, so every entry is 0.
     """
-    k = block.rows
-    if block.cols != k - 1:
-        raise ValueError(f"expected a {k}x{k - 1} block, got {block.rows}x{block.cols}")
-    rows = block.row_lists()
-    out = []
-    for j in range(k):
-        d = ExactMatrix.from_rows(block.ctx, rows[:j] + rows[j + 1:]).det()
-        out.append(d if j % 2 == 0 else -d)
-    return tuple(out)
+    zero = ctx.zero()
+    c = [ctx.one()]
+    for step, x in enumerate(points):
+        lead = c[-1]
+        if not lead:
+            return (zero,) * (len(points) + 1)
+        a = sum((coef * x.aut(r) for r, coef in enumerate(c)), zero)
+        if step == 1:
+            c = [a.aut(1), points[0].aut(2) * x - points[0] * x.aut(2), a]
+        else:
+            a_aut, inv = a.aut(1), lead.aut(1).inverse() if step else 1
+            shifted = [zero] + [e.aut(1) for e in c]
+            c = [(a * s - a_aut * e) * inv for s, e in zip(shifted, c + [zero])]
+    return tuple(-e for e in c) if len(points) % 2 else tuple(c)

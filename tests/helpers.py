@@ -192,6 +192,24 @@ def gaussian_rank(rows) -> int:
     return rank
 
 
+def moore_block(ctx, points, rows):
+    """rows x len(points) Moore matrix: entry (r, j) is aut^r of point j; unlike
+    ``moore_matrix`` it takes any number of points and rows."""
+    return ExactMatrix.from_rows(ctx, [[x.aut(r) for x in points] for r in range(rows)])
+
+
+def bordered_minor_determinants(block: ExactMatrix):
+    """The k signed maximal minors of a k x (k-1) block as k determinants:
+    entry j is (-1)^j times the determinant of the block without row j."""
+    rows = block.row_lists()
+    out = []
+    for j in range(block.rows):
+        d = ExactMatrix(block.ctx, block.rows - 1, block.cols,
+                        [e for row in rows[:j] + rows[j + 1:] for e in row]).det()
+        out.append(d if j % 2 == 0 else -d)
+    return tuple(out)
+
+
 def cofactor_det(rows, one):
     """Determinant by first-row cofactor expansion over any commutative ring."""
     if not rows:

@@ -96,8 +96,7 @@ def make_result(ctx, spec, points, s_size, seed):
     """Assemble a fully consistent result from given points, as a stored
     file could encode one; construct() itself never emits degenerate draws."""
     completed = complete_sets(spec)
-    base = moore_matrix(points.elements, spec.k)
-    rows = [bordered_minor_row(base.submatrix(range(spec.k), [c - 1 for c in sorted(z)]))
+    rows = [bordered_minor_row(ctx, [points.elements[c - 1] for c in sorted(z)])
             for z in completed.zeros]
     transform = ExactMatrix.from_rows(ctx, rows)
     return ConstructionResult(spec=spec, completed=completed, points=points,

@@ -400,6 +400,15 @@ def test_oracle_sweep(capsys):
     assert table["families"] == table["agree"] == 216
 
 
+@pytest.mark.parametrize("shape", [["--n", "0", "--k", "0"], ["--n", "3", "--k", "0"],
+                                   ["--n", "-1", "--k", "2"]])
+def test_oracle_sweep_rejects_bad_shape(capsys, shape):
+    # an explicit 0 must not fall back to the default 4/3 sweep
+    code, out, err = run(capsys, ["oracle", "--sweep", *shape])
+    assert code == 2 and not out
+    assert "need 1 <= k <= n" in err
+
+
 def test_oracle_violating_pattern_exit(capsys, tmp_path):
     # completed (one zero per row for k=2) yet violating: both rows share it
     spec = write_spec(tmp_path / "shared.json", {"n": 4, "k": 2, "zeros": [[1], [1]]})

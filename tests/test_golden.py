@@ -1,7 +1,9 @@
 """Byte identity of the files the CLI emits.
 
-One fixed construct, subcode and certify run at p = 11, n = 6, k = 3 must
-reproduce these sha256 digests exactly; any change of the field
+One fixed construct, subcode and certify run at p = 11, n = 6, k = 3, and one
+construct at p = 17, n = 12, k = 6 (transform rows of five points, so
+``bordered_minor_row`` takes three division steps and its odd-count sign),
+must reproduce these sha256 digests exactly; any change of the field
 representation, the elimination or the JSON layout that moves a single
 output byte fails here.
 """
@@ -27,6 +29,12 @@ GOLDEN = {
     "certify/certificate.json": "fdc63ccc637bdc5129131386331c81689b0bc483401b954aa1506be0d9aac5d7",
 }
 
+GOLDEN_K6 = {
+    "construct/stdout": "97cd4c2e59abfd99a8e214c4d6fe33cdaa49403fb51d87b1ad8c6d5c5ef39900",
+    "construct/certificate.json": "97cd4c2e59abfd99a8e214c4d6fe33cdaa49403fb51d87b1ad8c6d5c5ef39900",
+    "construct/result.json": "94bc2908f9da15b3c2c629a68cd1bc92bf39f471db20e7c84476040e2261f9dd",
+}
+
 
 def _run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
@@ -35,10 +43,9 @@ def _run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
-def emitted_digests(tmp_path) -> dict[str, str]:
-    """sha256 of stdout and of every file written by the three fixed runs."""
-    digests = {}
-
+def _recorder(tmp_path, digests: dict[str, str]):
+    """A function that runs one command with --out and adds the sha256 of its
+    stdout and of every file it wrote to digests."""
     def record(name: str, argv: list[str], expect: int) -> None:
         out_dir = tmp_path / name
         code, stdout = _run(argv + ["--out", str(out_dir)])
@@ -46,7 +53,13 @@ def emitted_digests(tmp_path) -> dict[str, str]:
         digests[f"{name}/stdout"] = hashlib.sha256(stdout).hexdigest()
         for path in sorted(out_dir.iterdir()):
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return record
 
+
+def emitted_digests(tmp_path) -> dict[str, str]:
+    """sha256 of stdout and of every file written by the three fixed runs."""
+    digests = {}
+    record = _recorder(tmp_path, digests)
     staircase = tmp_path / "staircase.json"
     staircase.write_text(json.dumps(STAIRCASE), encoding="utf-8")
     shared = tmp_path / "shared.json"
@@ -60,3 +73,11 @@ def emitted_digests(tmp_path) -> dict[str, str]:
 
 def test_emitted_bytes_are_pinned(tmp_path):
     assert emitted_digests(tmp_path) == GOLDEN
+
+
+def test_k6_construct_bytes_are_pinned(tmp_path):
+    digests = {}
+    _recorder(tmp_path, digests)("construct", [
+        "construct", "--prime", "17", "--n", "12", "--k", "6", "--epsilon", "0.01",
+        "--seed", "7"], 0)
+    assert digests == GOLDEN_K6

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from cyclogab import ExactMatrix, bordered_minor_row
 from cyclogab.linalg import _eliminate, _field_quotient, _int_quotient, _mod_reducer
-from conftest import CONTEXTS, elements
-from helpers import FractionElement, cofactor_det, gaussian_rank, leibniz_det
+from conftest import CONTEXTS, elements, small_rationals
+from helpers import (FractionElement, bordered_minor_determinants, cofactor_det,
+                     coordinate_rank, gaussian_rank, leibniz_det, moore_block)
 
 
 def matrices(p, rows, cols):
@@ -19,6 +20,10 @@ def matrices(p, rows, cols):
 
 def test_det_identity(ctx5):
     assert ExactMatrix.identity(ctx5, 3).det() == ctx5.one()
+
+
+def test_det_of_empty_matrix(ctx5):
+    assert ExactMatrix(ctx5, 0, 0, []).det() == ctx5.one()
 
 
 def test_det_zero_column(ctx5):
@@ -142,38 +147,66 @@ def test_eliminate_over_cyclotomic(data):
 
 
 def test_bordered_minor_row_k2(ctx5):
-    a, b = ctx5.element([3, 1, 0, 0]), ctx5.zeta(2)
-    block = ExactMatrix.from_rows(ctx5, [[a], [b]])
-    assert bordered_minor_row(block) == (b, -a)
+    # the Moore block of one point x is [[x], [aut(x)]]
+    x = ctx5.element([3, 1, 0, 0])
+    assert bordered_minor_row(ctx5, [x]) == (x.aut(1), -x)
 
 
 def test_bordered_minor_row_k1(ctx5):
-    block = ExactMatrix(ctx5, 1, 0, [])
-    assert bordered_minor_row(block) == (ctx5.one(),)
+    assert bordered_minor_row(ctx5, []) == (ctx5.one(),)
 
 
 def test_bordered_minor_row_zero_column(ctx5):
-    z = ctx5.zero()
-    block = ExactMatrix.from_rows(ctx5, [[z, ctx5.one()],
-                                         [z, ctx5.zeta(1)],
-                                         [z, ctx5.zeta(2)]])
-    assert all(not e for e in bordered_minor_row(block))
+    # a zero point is a zero column of the block, in first and in last place
+    for pts in ([ctx5.zero(), ctx5.one()], [ctx5.one(), ctx5.zeta(1), ctx5.zero()]):
+        assert all(not e for e in bordered_minor_row(ctx5, pts))
 
 
-def test_bordered_minor_row_shape_check(ctx5):
+def test_bordered_minor_row_context_check(ctx5, ctx7):
     with pytest.raises(ValueError):
-        bordered_minor_row(ExactMatrix.zeros(ctx5, 3, 3))
+        bordered_minor_row(ctx5, [ctx7.one()])
+
+
+def minor_row_points(draw, p, k):
+    """k-1 points of Q(zeta_p): drawn values, sometimes with a zero point, a
+    repeated point or a rational combination of earlier points planted."""
+    ctx = CONTEXTS[p]
+    pts = [draw(elements(p)) for _ in range(k - 1)]
+    if k >= 3:
+        i = draw(st.integers(min_value=1, max_value=k - 2))
+        plant = draw(st.sampled_from(["none", "zero", "repeat", "combination"]))
+        if plant == "zero":
+            pts[i] = ctx.zero()
+        elif plant == "repeat":
+            pts[i] = pts[i - 1]
+        elif plant == "combination":
+            pts[i] = sum((x * draw(small_rationals()) for x in pts[:i]), ctx.zero())
+    return pts
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bordered_row_matches_determinant_oracle(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    ctx = CONTEXTS[p]
+    pts = minor_row_points(data.draw, p, k)
+    v = bordered_minor_row(ctx, pts)
+    assert v == bordered_minor_determinants(moore_block(ctx, pts, k))
+    # the row vanishes exactly when the points are dependent over Q
+    assert any(v) == (coordinate_rank(pts) == len(pts))
 
 
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_bordered_row_equals_bordered_determinants(data):
-    # definitional oracle: entry j is the determinant of the block with the
-    # j-th standard basis vector glued on as a first column
+    # definitional oracle: entry j is the determinant of the Moore block with
+    # the j-th standard basis vector glued on as a first column
     k = data.draw(st.integers(min_value=1, max_value=4))
-    block = data.draw(matrices(5, k, k - 1))
-    ctx = block.ctx
-    v = bordered_minor_row(block)
+    ctx = CONTEXTS[5]
+    pts = minor_row_points(data.draw, 5, k)
+    block = moore_block(ctx, pts, k)
+    v = bordered_minor_row(ctx, pts)
     for j in range(k):
         basis_col = [ctx.one() if i == j else ctx.zero() for i in range(k)]
         bordered = ExactMatrix.from_rows(
@@ -184,15 +217,13 @@ def test_bordered_row_equals_bordered_determinants(data):
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_bordered_row_annihilates_block(data):
-    k = data.draw(st.integers(min_value=2, max_value=4))
-    block = data.draw(matrices(5, k, k - 1))
-    v = bordered_minor_row(block)
-    ctx = block.ctx
-    for j in range(k - 1):
-        acc = ctx.zero()
-        for i in range(k):
-            acc = acc + v[i] * block[i, j]
-        assert not acc
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    k = data.draw(st.integers(min_value=2, max_value=6))
+    ctx = CONTEXTS[p]
+    pts = minor_row_points(data.draw, p, k)
+    v = bordered_minor_row(ctx, pts)
+    block = moore_block(ctx, pts, k)
+    assert ExactMatrix(ctx, 1, k, v) @ block == ExactMatrix.zeros(ctx, 1, k - 1)
 
 
 def test_matmul_and_identity(ctx5):
