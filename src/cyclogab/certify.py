@@ -14,6 +14,12 @@ the sweep) is proved either by a nonzero image in F_q under zeta -> omega or
 by the exact computation; an image of zero is always decided again exactly,
 so verdicts, ``checked_minors`` and the certificate bytes do not depend on
 the fast path.  q depends only on p and is not recorded.
+
+The sweep reduces G to F_q once and walks the column subsets depth-first, so
+subsets sharing a prefix share its reduction and each subset of a
+rank-(k-1) prefix costs one dot product; a prefix that reaches rank k has
+its extensions counted, not visited.  Visit order, exact calls, the count
+and the budget error are those of one elimination per subset.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .construction import ConstructionResult, construct, is_independent
 from .linalg import ExactMatrix, fq_image, is_invertible, proves_full_row_rank
@@ -106,6 +115,20 @@ def verify_support(matrix: ExactMatrix, spec: SupportSpec) -> bool:
     return all(not matrix[i, c - 1] for i, z in enumerate(spec.zeros) for c in z)
 
 
+def _extend_annihilator(ann: list[list[int]], col: Sequence[int], q: int) -> list[list[int]]:
+    """A basis of the annihilator in F_q^k of span + col, given one of the
+    span's: ``ann`` itself when col lies in the span, else one vector fewer,
+    each made orthogonal to col by a combination with the first vector that
+    is not (no division)."""
+    dots = [sum(map(operator.mul, h, col)) % q for h in ann]
+    j = next((i for i, d in enumerate(dots) if d), None)
+    if j is None:
+        return ann
+    d, pivot = dots[j], ann[j]
+    return [h if not e else [(d * a - e * b) % q for a, b in zip(h, pivot)]
+            for i, (h, e) in enumerate(zip(ann, dots)) if i != j]
+
+
 def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     """Exact Hamming distance of the row space and the number of column
     subsets examined.
@@ -113,25 +136,71 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     A nonzero codeword vanishing on a column set J exists iff the columns in
     J have rank below k, and such J are closed under taking subsets; the
     distance is therefore n - s + 1 for the first size s at which every
-    s-subset has full rank.  The matrix is reduced to F_q once; a subset
-    whose image has full rank is proved full, and only the others are
-    decided by the exact rank.
+    s-subset has full rank.  Each size visits its subsets in the order of
+    ``itertools.combinations`` and stops at the first deficient one.
+
+    The matrix is reduced to F_q once, and the subsets of a size are walked
+    depth-first, so subsets sharing a prefix share its reduction.  A prefix
+    is held as a basis of the annihilator of its span in F_q^k, kept
+    fraction-free: a column outside the span removes one vector, so the
+    prefix has rank k minus their number, and with rank k-1 the one vector
+    left is the normal that decides each further column by a dot product.
+    A subset whose image has rank k is proved full; once a prefix reaches
+    rank k every extension is, and is counted with ``math.comb`` unvisited.
+    Any other subset, including every one under a prefix that cannot reach
+    rank k in the columns left, or all of them when the image does not
+    exist, is decided by the exact rank, in order.  So verdicts, exact calls
+    and the count, budget error included, are those of one F_q elimination
+    per subset.
     """
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
     image = fq_image(matrix)
     if not proves_full_row_rank(image, q) and matrix.rank() < k:
         raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
+    columns = None if image is None else list(zip(*image))
     checks = 0
+
+    def count(subsets: int) -> None:
+        nonlocal checks
+        checks += subsets
+        if checks > max_checks:
+            raise ValueError(f"column-subset budget {max_checks} exceeded")
+
+    def exact(prefix: tuple[int, ...], start: int, left: int) -> bool:
+        # each completion by ``left`` columns from ``start`` on, decided exactly
+        for tail in itertools.combinations(range(start, n), left):
+            count(1)
+            if matrix.column_subset(prefix + tail).rank() < k:
+                return False
+        return True
+
+    def full_at(s: int) -> bool:
+        # depth-first over the s-subsets; anns[d] annihilates the first d columns
+        prefix: list[int] = []
+        anns = [[[int(i == j) for j in range(k)] for i in range(k)]]
+        c = 0  # next candidate column at depth len(prefix)
+        while True:
+            ann, left = anns[-1], s - len(prefix)
+            if len(ann) > left:  # rank k is out of reach: decide exactly
+                if not exact(tuple(prefix), c, left):
+                    return False
+                c = n
+            elif c <= n - left:
+                if len(ann) == 1 and sum(map(operator.mul, ann[0], columns[c])) % q:
+                    count(math.comb(n - c - 1, left - 1))  # rank k: all extensions proved
+                else:
+                    anns.append(_extend_annihilator(ann, columns[c], q))
+                    prefix.append(c)
+                c += 1
+                continue
+            if not prefix:
+                return True
+            c = prefix.pop() + 1
+            anns.pop()
+
     for s in range(k, n + 1):
-        for cols in itertools.combinations(range(n), s):
-            checks += 1
-            if checks > max_checks:
-                raise ValueError(f"column-subset budget {max_checks} exceeded")
-            if not proves_full_row_rank(image, q, cols) \
-                    and matrix.column_subset(cols).rank() < k:
-                break
-        else:
+        if exact((), 0, s) if columns is None else full_at(s):
             return n - s + 1, checks
     raise AssertionError("unreachable: a full-rank matrix has full rank at s = n")
 

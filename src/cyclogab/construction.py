@@ -22,10 +22,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cyclotomic import CycloElement, GaloisContext
+from .cyclotomic import CycloElement, GaloisContext, _element
 from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row, is_invertible
 from .supports import (SupportSpec, _check_shape, _int_field, _is_int_rows, check_condition,
                        complete_sets)
+
+
+# Largest accepted sample-set size.  G's coefficients have about
+# k * log10(s_size) digits, about 1900 at 2^256 (78 digits) and
+# k = MAX_ROWS = 24, so every accepted shape stays below CPython's 4300-digit
+# limit on converting an integer to a string and can be written.
+MAX_SAMPLE_SIZE = 2 ** 256
+
+
+def _check_sample_size(s_size: int) -> None:
+    """Refuse a sample-set size outside [1, MAX_SAMPLE_SIZE] with ValueError."""
+    if s_size < 1:
+        raise ValueError(f"sample set size must be >= 1, got {s_size}")
+    if s_size > MAX_SAMPLE_SIZE:  # reported by size: str() of it may itself fail
+        raise ValueError(f"sample set size of {s_size.bit_length()} bits exceeds "
+                         "MAX_SAMPLE_SIZE = 2^256: the generator's coefficients "
+                         "would grow past what can be written")
 
 
 class RetriesExhausted(RuntimeError):
@@ -67,8 +84,11 @@ class EvaluationPoints:
         coords = obj.get("coords")
         if not _is_int_rows(coords):
             raise ValueError("point coords must be a list of lists of integers")
+        for row in coords:
+            if len(row) != ctx.m:
+                raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
         coords = tuple(tuple(row) for row in coords)
-        elements = tuple(ctx.element(row) for row in coords)
+        elements = tuple(_element(ctx, row) for row in coords)
         return cls(elements, coords, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
@@ -76,13 +96,16 @@ def required_sample_size(n: int, k: int, epsilon: Union[float, str, Fraction]) -
     """Smallest sample-set size with failure bound (n + k*(k-1)) / size <= epsilon.
 
     Floats are read with decimal semantics ("0.01" means exactly 1/100), so
-    the ceiling is exact; a shape outside 1 <= k <= n raises ValueError.
+    the ceiling is exact; a shape outside 1 <= k <= n, or a size above
+    MAX_SAMPLE_SIZE, raises ValueError.
     """
     _check_shape(n, k)
     eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    return math.ceil(Fraction(n + k * (k - 1)) / eps)
+    s_size = math.ceil(Fraction(n + k * (k - 1)) / eps)
+    _check_sample_size(s_size)
+    return s_size
 
 
 def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> EvaluationPoints:
@@ -91,13 +114,12 @@ def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> Evaluat
     The stream order is row-major (point index outer, basis index inner), so
     a seed pins the draw bit-for-bit.
     """
-    if s_size < 1:
-        raise ValueError(f"sample set size must be >= 1, got {s_size}")
+    _check_sample_size(s_size)
     if n > ctx.m:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
     rng = random.Random(seed)
     coords = tuple(tuple(rng.randrange(s_size) for _ in range(ctx.m)) for _ in range(n))
-    elements = tuple(ctx.element(row) for row in coords)
+    elements = tuple(_element(ctx, row) for row in coords)
     return EvaluationPoints(elements, coords, s_size, seed)
 
 
@@ -206,11 +228,24 @@ class ConstructionResult:
             max_retries=_int_field(obj, "max_retries"),
             retries=_int_field(obj, "retries"),
         )
-        if ExactMatrix.from_obj(ctx, obj["moore"]) != result.moore:
+        if not _stored_equals(ctx, obj["moore"], result.moore):
             raise ValueError("stored moore matrix must be the automorphism orbit of the points")
-        if ExactMatrix.from_obj(ctx, obj["generator"]) != result.generator:
+        if not _stored_equals(ctx, obj["generator"], result.generator):
             raise ValueError("stored generator must equal transform @ moore exactly")
         return result
+
+
+def _stored_equals(ctx: GaloisContext, stored: object, derived: ExactMatrix) -> bool:
+    """Whether a stored matrix object holds the derived matrix.  Its entries
+    are compared with the strings ``to_obj`` writes first and parsed only when
+    they differ, so an equal value spelled otherwise is still accepted, and
+    malformed input raises the ValueError of ``ExactMatrix.from_obj``."""
+    if isinstance(stored, dict) \
+            and stored.get("entries") == [e.to_strings() for e in derived.entries] \
+            and (_int_field(stored, "rows"), _int_field(stored, "cols")) \
+            == (derived.rows, derived.cols):
+        return True
+    return ExactMatrix.from_obj(ctx, stored) == derived
 
 
 def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,

@@ -11,8 +11,8 @@ the exact "n/1" form, which ``from_strings`` reads with ``int()``.
 Products use zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), schoolbook for
 one product and packed into big integers for the dot products of a matrix
 product (``dot_products``).  The inverse of a is the product of its m - 1
-nontrivial conjugates divided by the norm N(a), the product of all m
-conjugates, a nonzero rational for a != 0.  Field operations cost O(p^2)
+nontrivial conjugates, built by doubling, divided by the norm N(a), the
+product of all m conjugates, a nonzero rational for a != 0.  Field operations cost O(p^2)
 integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
 
 The automorphism group over Q is cyclic of order m = p - 1.  The generator
@@ -327,12 +327,18 @@ class CycloElement:
 
         The product c of the conjugates aut(1), ..., aut(m-1) satisfies
         self * c = N(self), a nonzero rational, so the inverse is c / N(self).
+        c is aut(G(m-1)) for G(L) = self aut(self) ... aut^(L-1)(self), built
+        by doubling in about 2 log2(m) products: G(2L) = G(L) aut^L(G(L))
+        and G(L+1) = self aut(G(L)).
         """
         if not self:
             raise ZeroDivisionError("zero has no inverse in Q(zeta_p)")
-        conj = self.aut(1)
-        for e in range(2, self.ctx.m):
-            conj = conj * self.aut(e)
+        g, length = self, 1  # G(length), length running up the bits of m - 1
+        for bit in bin(self.ctx.m - 1)[3:]:
+            g, length = g * g.aut(length), 2 * length
+            if bit == "1":
+                g, length = self * g.aut(1), length + 1
+        conj = g.aut(1)
         return conj * (1 / (self * conj).rational_value())
 
     # -- automorphism -----------------------------------------------------
@@ -393,6 +399,8 @@ class CycloElement:
 
     def to_strings(self) -> list[str]:
         """Coefficients as "num/den" strings in lowest terms."""
+        if self.denominator == 1:
+            return [f"{v}/1" for v in self.numerators]
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
     @classmethod

@@ -212,15 +212,12 @@ def fq_image(matrix: ExactMatrix) -> FqRows | None:
     return rows
 
 
-def proves_full_row_rank(image: FqRows | None, q: int,
-                         cols: Sequence[int] | None = None) -> bool:
-    """True when the F_q image, restricted to ``cols`` if given, has full row
-    rank: a proof that the exact matrix has full row rank.  False means
-    unknown, never rank-deficient."""
+def proves_full_row_rank(image: FqRows | None, q: int) -> bool:
+    """True when the F_q image has full row rank: a proof that the exact
+    matrix has full row rank.  False means unknown, never rank-deficient."""
     if image is None:
         return False
-    rows = image if cols is None else [[row[c] for c in cols] for row in image]
-    return _eliminate(rows, _mod_reducer(q))[0] == len(rows)
+    return _eliminate(image, _mod_reducer(q))[0] == len(image)
 
 
 def is_invertible(matrix: ExactMatrix) -> bool:

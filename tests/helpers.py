@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from cyclogab import ExactMatrix, SupportSpec
+from cyclogab.linalg import fq_image, proves_full_row_rank
 
 
 def embed(elem, power: int = 1) -> complex:
@@ -240,3 +241,28 @@ def brute_hamming_distance(matrix: ExactMatrix) -> int:
             if matrix.column_subset(cols).rank() < k:
                 widest = max(widest, size)
     return n - widest
+
+
+def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
+    """(distance, checks) of ``certify._distance_sweep`` by one F_q elimination
+    per column subset: each size s visits its subsets in combinations order
+    and stops at the first one whose image does not prove full rank and whose
+    exact rank is below k; the budget error fires at subset max_checks + 1."""
+    k, n = matrix.rows, matrix.cols
+    q = matrix.ctx.modulus
+    image = fq_image(matrix)
+    if not proves_full_row_rank(image, q) and matrix.rank() < k:
+        raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
+    checks = 0
+    for s in range(k, n + 1):
+        for cols in combinations(range(n), s):
+            checks += 1
+            if checks > max_checks:
+                raise ValueError(f"column-subset budget {max_checks} exceeded")
+            restricted = None if image is None else [[row[c] for c in cols] for row in image]
+            if not proves_full_row_rank(restricted, q) \
+                    and matrix.column_subset(cols).rank() < k:
+                break
+        else:
+            return n - s + 1, checks
+    raise AssertionError("unreachable: a full-rank matrix has full rank at s = n")

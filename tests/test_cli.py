@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,60 @@ def test_certify_inconsistent_bookkeeping(capsys, good_spec, tmp_path, mutate, r
     assert code == 2
     assert out == ""
     assert reason in err and "Traceback" not in err
+
+
+def _edited_result(capsys, good_spec, tmp_path, mutate):
+    out_dir = tmp_path / "run"
+    run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
+                 "--s-size", "200", "--seed", "1", "--out", str(out_dir)])
+    obj = mutate(json.loads((out_dir / "result.json").read_text()))
+    return write_spec(tmp_path / "edited.json", obj)
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (_set(["points", "coords", 1], [1] * 5), "expected 6 coefficients, got 5"),
+    # 3.0 == 3 in Python: the stored shape is checked as an integer, not by value
+    (_set(["moore", "rows"], 3.0), "field 'rows' must be an integer, got 3.0"),
+    (_set(["generator", "cols"], 4.0), "field 'cols' must be an integer, got 4.0"),
+])
+def test_certify_refuses_malformed_stored_fields(capsys, good_spec, tmp_path, mutate, reason):
+    path = _edited_result(capsys, good_spec, tmp_path, mutate)
+    code, out, err = run(capsys, ["certify", path])
+    assert code == 2 and out == ""
+    assert reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("matrix", ["moore", "generator"])
+def test_certify_accepts_equal_value_spelled_otherwise(capsys, good_spec, tmp_path, matrix):
+    def respell(obj):
+        entry = obj[matrix]["entries"][0]
+        num = int(entry[0].split("/")[0])
+        entry[0] = f"{2 * num}/2"  # not canonical, but the same value
+        return obj
+    code, out, _ = run(capsys, ["certify", _edited_result(capsys, good_spec, tmp_path, respell)])
+    assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--prime", "11", "--n", "6", "--k", "3", "--epsilon", "1e-20000"],
+    ["construct", "--prime", "11", "--n", "6", "--k", "3", "--epsilon", "1e-5000",
+     "--no-check-minors"],
+    ["subcode", "--prime", "11", "--n", "6", "--k", "3", "--epsilon", "1e-2000"],
+    ["construct", "--prime", "11", "--n", "6", "--k", "3", "--s-size", str(2 ** 256 + 1)],
+    ["bound", "--n", "6", "--k", "3", "--epsilon", "1e-5000"],
+])
+def test_oversized_sample_set_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "exceeds MAX_SAMPLE_SIZE = 2^256" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 5  # refused before any draw
+
+
+def test_largest_sample_set_accepted(capsys):
+    code, out, _ = run(capsys, ["construct", "--prime", "7", "--n", "4", "--k", "2",
+                                "--s-size", str(2 ** 256), "--seed", "3"])
+    assert code == 0 and json.loads(out)["passed"]
 
 
 def test_construct_rejects_huge_prime(capsys):
