@@ -51,7 +51,7 @@ def main() -> int:
             spec = SupportSpec.from_obj(json.load(fh))
     else:
         spec = SupportSpec(args.n, args.k, [()] * args.k)
-    s_size = args.s_size or required_sample_size(spec.n, spec.k, Fraction(args.epsilon))
+    s_size = args.s_size or required_sample_size(spec.n, spec.k, args.epsilon)
     bound = Fraction(spec.n + spec.k * (spec.k - 1), s_size)
 
     tasks = [(args.prime, spec.to_obj(), s_size, args.seed0 + t) for t in range(args.trials)]

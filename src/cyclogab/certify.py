@@ -91,21 +91,6 @@ class Certificate:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> Certificate:
-        return cls(
-            support_ok=bool(obj["support_ok"]),
-            t_invertible=bool(obj["t_invertible"]),
-            points_independent=bool(obj["points_independent"]),
-            hamming_distance=obj["hamming_distance"],
-            claimed_rank_distance=obj["claimed_rank_distance"],
-            rank_distance_basis=obj["rank_distance_basis"],
-            ell=obj["ell"],
-            checked_minors=int(obj["checked_minors"]),
-            spec_sha256=str(obj["spec_sha256"]),
-            matrix_sha256=str(obj["matrix_sha256"]),
-        )
-
 
 def verify_support(matrix: ExactMatrix, spec: SupportSpec) -> bool:
     """True iff every constrained entry of the matrix is exactly zero."""
@@ -273,15 +258,6 @@ class SubcodeResult:
             "certificate": self.certificate.to_obj(),
             "padded": self.padded.to_obj(),
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> SubcodeResult:
-        padded = ConstructionResult.from_obj(obj["padded"])
-        return cls(
-            generator=ExactMatrix.from_obj(padded.moore.ctx, obj["generator_sub"]),
-            certificate=Certificate.from_obj(obj["certificate"]),
-            padded=padded,
-        )
 
 
 def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,

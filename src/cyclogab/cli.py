@@ -17,30 +17,14 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .certify import DEFAULT_MAX_CHECKS, build_subcode, certify_mrd
+from .certify import DEFAULT_MAX_CHECKS, Certificate, build_subcode, certify_mrd
 from .construction import ConstructionResult, RetriesExhausted, construct, required_sample_size
 from .cyclotomic import GaloisContext
 from .gmmds import check_oracle_size, oracle_report, sweep_agreement
 from .supports import (MAX_ROWS, SupportSpec, check_condition, complete_sets,
                        required_dimension)
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Resolved inputs of a construction run."""
-
-    ctx: GaloisContext
-    spec: SupportSpec
-    s_size: int
-    epsilon: str | None
-    seed: int
-    max_retries: int
-    check_minors: bool
-    out: Path | None
 
 
 def _dump(obj: dict) -> str:
@@ -77,30 +61,36 @@ def _load_spec(args: argparse.Namespace) -> SupportSpec:
     return SupportSpec(args.n, args.k, [()] * args.k)
 
 
-def _job_config(args: argparse.Namespace) -> JobConfig:
+def _run_inputs(args: argparse.Namespace) -> tuple[GaloisContext, SupportSpec, int]:
+    """Field, pattern and sample-set size of a construct or subcode run."""
     ctx = GaloisContext(args.prime)
     spec = _load_spec(args)
     if spec.n > ctx.m:
         raise ValueError(f"need n <= p-1 = {ctx.m}, got n={spec.n}")
     if args.s_size is not None:
-        s_size, epsilon = args.s_size, None
-    else:
-        epsilon = args.epsilon
-        s_size = required_sample_size(spec.n, spec.k, Fraction(epsilon))
-    check_minors = args.check_minors
-    if check_minors is None:
-        # ell = k for a feasible pattern; subcode claims distance n - ell + 1
-        check_minors = _sweep_fits_budget(spec.n, spec.k, required_dimension(spec))
-    return JobConfig(ctx=ctx, spec=spec, s_size=s_size, epsilon=epsilon, seed=args.seed,
-                     max_retries=args.max_retries, check_minors=check_minors,
-                     out=Path(args.out) if args.out else None)
+        return ctx, spec, args.s_size
+    return ctx, spec, required_sample_size(spec.n, spec.k, args.epsilon)
 
 
-def _sweep_fits_budget(n: int, k: int, ell: int) -> bool:
-    """Default of --check-minors: whether the worst case of the sweep that
+def _check_minors(args: argparse.Namespace, n: int, k: int, ell: int) -> bool:
+    """--check-minors, by default whether the worst case of the sweep that
     confirms distance n - ell + 1, every s-subset of the columns for
     s = k..ell (C(n, k) at full distance), fits DEFAULT_MAX_CHECKS."""
+    if args.check_minors is not None:
+        return args.check_minors
     return sum(math.comb(n, s) for s in range(k, ell + 1)) <= DEFAULT_MAX_CHECKS
+
+
+def _emit(out: Path | None, cert: Certificate, files: dict[str, dict]) -> int:
+    """Write ``files`` and certificate.json under ``out`` when given, print
+    the certificate, and exit 0 iff it passed."""
+    cert_obj = cert.to_obj()
+    if out is not None:
+        for name, obj in files.items():
+            _write(out, name, obj)
+        _write(out, "certificate.json", cert_obj)
+    sys.stdout.write(_dump(cert_obj))
+    return 0 if cert.passed else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -114,61 +104,38 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    s_size = required_sample_size(args.n, args.k, Fraction(args.epsilon))
+    s_size = required_sample_size(args.n, args.k, args.epsilon)
     sys.stdout.write(_dump({"n": args.n, "k": args.k, "epsilon": args.epsilon,
                             "s_size": s_size}))
     return 0
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _job_config(args)
-    ok, witness = check_condition(cfg.spec)
+    ctx, spec, s_size = _run_inputs(args)
+    ok, witness = check_condition(spec)
     if not ok:
         print(f"support condition violated by rows {sorted(witness or ())}; "
               "no full-distance code exists -- use the 'subcode' command", file=sys.stderr)
         return 1
-    try:
-        result = construct(cfg.spec, cfg.ctx, cfg.s_size, cfg.seed, cfg.max_retries)
-    except RetriesExhausted as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
-    cert = certify_mrd(result, check_minors=cfg.check_minors)
-    result_obj = result.to_obj()
-    result_obj["epsilon"] = cfg.epsilon
-    if cfg.out is not None:
-        _write(cfg.out, "result.json", result_obj)
-        _write(cfg.out, "certificate.json", cert.to_obj())
-    sys.stdout.write(_dump(cert.to_obj()))
-    return 0 if cert.passed else 1
+    result = construct(spec, ctx, s_size, args.seed, args.max_retries)
+    cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
+    return _emit(args.out, cert, {"result.json": {**result.to_obj(), "epsilon": args.epsilon}})
 
 
 def cmd_subcode(args: argparse.Namespace) -> int:
-    cfg = _job_config(args)
-    try:
-        sub = build_subcode(cfg.spec, cfg.ctx, cfg.s_size, cfg.seed,
-                            max_retries=cfg.max_retries, check_minors=cfg.check_minors)
-    except RetriesExhausted as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
-    sub_obj = sub.to_obj()
-    sub_obj["epsilon"] = cfg.epsilon
-    sub_obj["spec"] = cfg.spec.to_obj()
-    if cfg.out is not None:
-        _write(cfg.out, "subcode.json", sub_obj)
-        _write(cfg.out, "certificate.json", sub.certificate.to_obj())
-    sys.stdout.write(_dump(sub.certificate.to_obj()))
-    return 0 if sub.certificate.passed else 1
+    ctx, spec, s_size = _run_inputs(args)
+    check_minors = _check_minors(args, spec.n, spec.k, required_dimension(spec))
+    sub = build_subcode(spec, ctx, s_size, args.seed, max_retries=args.max_retries,
+                        check_minors=check_minors)
+    return _emit(args.out, sub.certificate, {"subcode.json": {
+        **sub.to_obj(), "epsilon": args.epsilon, "spec": spec.to_obj()}})
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     result = ConstructionResult.from_obj(_read_json(args.result))
-    check_minors = args.check_minors if args.check_minors is not None \
-        else _sweep_fits_budget(result.spec.n, result.spec.k, result.spec.k)
-    cert = certify_mrd(result, check_minors=check_minors)
-    if args.out is not None:
-        _write(Path(args.out), "certificate.json", cert.to_obj())
-    sys.stdout.write(_dump(cert.to_obj()))
-    return 0 if cert.passed else 1
+    spec = result.spec
+    cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
+    return _emit(args.out, cert, {})
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -205,6 +172,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _out_dir(text: str) -> Path:
+    if not text:  # Path("") is the working directory
+        raise argparse.ArgumentTypeError("must name a directory, got an empty path")
+    return Path(text)
+
+
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prime", type=int, required=True, help="odd prime conductor p")
     size = sub.add_mutually_exclusive_group(required=True)
@@ -216,7 +189,8 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
                      help="force the full minor sweep on/off (default: on when its worst-case "
                           f"column-subset count fits the budget of {DEFAULT_MAX_CHECKS})")
-    sub.add_argument("--out", metavar="DIR", help="directory for the emitted JSON files")
+    sub.add_argument("--out", metavar="DIR", type=_out_dir,
+                     help="directory for the emitted JSON files")
 
 
 @functools.cache  # built once per process: parse_args keeps no state between calls
@@ -252,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
                         help="force the full minor sweep on/off (default: on when C(n, k) "
                              f"fits the budget of {DEFAULT_MAX_CHECKS})")
-    p_cert.add_argument("--out", metavar="DIR")
+    p_cert.add_argument("--out", metavar="DIR", type=_out_dir)
     p_cert.set_defaults(func=cmd_certify)
 
     p_or = subs.add_parser("oracle", help="polynomial determinant oracle for a pattern")
@@ -274,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except RetriesExhausted as exc:
+            print(f"construction failed: {exc}", file=sys.stderr)
+            return 1
     finally:
         # A call leaves reference cycles (json's indent encoder).  Integer
         # field arithmetic allocates too little to trigger young collections

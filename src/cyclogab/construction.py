@@ -16,8 +16,10 @@ a stored result checks the stored copies against the derived ones.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -92,17 +94,52 @@ class EvaluationPoints:
         return cls(elements, coords, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
+def _parse_epsilon(epsilon: Union[float, str, Fraction]) -> Fraction:
+    """epsilon as an exact Fraction in (0, 1]; anything else raises ValueError.
+
+    A string keeps the value ``Fraction`` gives it, but ``Fraction`` builds
+    10^e for a decimal exponent e, in time and memory that grow with e, so
+    the exponent is read first through ``decimal.Decimal``: a string whose
+    value is not positive, at least 10, or below 10^-80 (its sample set
+    would be above 10^80 > MAX_SAMPLE_SIZE) is refused without building it.
+    Floats are read with decimal semantics ("0.01" means exactly 1/100).
+    """
+    if isinstance(epsilon, float):
+        epsilon = str(epsilon)
+    if isinstance(epsilon, str):
+        try:
+            approx = decimal.Decimal(epsilon)
+        except decimal.InvalidOperation:
+            # Decimal reads every decimal Fraction reads, save an exponent of 19+ digits
+            if re.search(r"[eE][-+]?[\d_]{19}", epsilon):
+                raise ValueError(f"epsilon {epsilon} has a decimal exponent out of range; "
+                                 "epsilon must be in (0, 1]") from None
+            approx = None  # a ratio such as "1/100", or no number at all
+        if approx is not None and approx.is_finite():
+            if approx <= 0 or approx.adjusted() >= 1:
+                raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+            if approx.adjusted() < -80:
+                raise ValueError("epsilon below 10^-80 needs a sample set size that exceeds "
+                                 "MAX_SAMPLE_SIZE = 2^256: the generator's coefficients "
+                                 "would grow past what can be written")
+    try:
+        eps = Fraction(epsilon)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {epsilon} has a zero denominator") from None
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    return eps
+
+
 def required_sample_size(n: int, k: int, epsilon: Union[float, str, Fraction]) -> int:
     """Smallest sample-set size with failure bound (n + k*(k-1)) / size <= epsilon.
 
-    Floats are read with decimal semantics ("0.01" means exactly 1/100), so
-    the ceiling is exact; a shape outside 1 <= k <= n, or a size above
-    MAX_SAMPLE_SIZE, raises ValueError.
+    epsilon is read by ``_parse_epsilon``, so the ceiling is exact; a shape
+    outside 1 <= k <= n, an epsilon outside (0, 1], or a size above
+    MAX_SAMPLE_SIZE raises ValueError.
     """
     _check_shape(n, k)
-    eps = Fraction(str(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    eps = _parse_epsilon(epsilon)
     s_size = math.ceil(Fraction(n + k * (k - 1)) / eps)
     _check_sample_size(s_size)
     return s_size

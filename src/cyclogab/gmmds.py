@@ -126,6 +126,19 @@ class SparsePoly:
         return f"SparsePoly(nvars={self.nvars}, terms={len(self.terms)})"
 
 
+def _root_product(roots: Sequence, zero, one) -> list:
+    """Coefficients of prod (X - a) over ``roots``, lowest degree first, in
+    the ring of ``zero`` and ``one``."""
+    coeffs = [one]
+    for a in roots:
+        lifted = [zero] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            lifted[d + 1] = lifted[d + 1] + c
+            lifted[d] = lifted[d] - c * a
+        coeffs = lifted
+    return coeffs
+
+
 def support_polynomial_matrix(spec: SupportSpec) -> list[list[SparsePoly]]:
     """The k x k coefficient matrix of a completed pattern.
 
@@ -136,18 +149,9 @@ def support_polynomial_matrix(spec: SupportSpec) -> list[list[SparsePoly]]:
     if not spec.is_completed():
         raise ValueError("pattern must be completed (k-1 zeros per row) first")
     n = spec.n
-    rows = []
-    for z in spec.zeros:
-        coeffs = [SparsePoly.const(n, 1)]
-        for t in sorted(z):
-            var = SparsePoly.variable(n, t - 1)
-            lifted = [SparsePoly.zero(n) for _ in range(len(coeffs) + 1)]
-            for d, c in enumerate(coeffs):
-                lifted[d + 1] = lifted[d + 1] + c
-                lifted[d] = lifted[d] - c * var
-            coeffs = lifted
-        rows.append(coeffs)
-    return rows
+    zero, one = SparsePoly.zero(n), SparsePoly.const(n, 1)
+    return [_root_product([SparsePoly.variable(n, t - 1) for t in sorted(z)], zero, one)
+            for z in spec.zeros]
 
 
 def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -176,17 +180,7 @@ def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
 
 
 def _evaluated_det(spec: SupportSpec, point: Sequence[int]) -> int:
-    rows = []
-    for z in spec.zeros:
-        coeffs = [1]
-        for t in sorted(z):
-            a = point[t - 1]
-            lifted = [0] * (len(coeffs) + 1)
-            for d, c in enumerate(coeffs):
-                lifted[d + 1] += c
-                lifted[d] -= c * a
-            coeffs = lifted
-        rows.append(coeffs)
+    rows = [_root_product([point[t - 1] for t in sorted(z)], 0, 1) for z in spec.zeros]
     rank, det = _eliminate(rows, _int_quotient)
     return det if rank == len(rows) else 0
 
@@ -208,12 +202,6 @@ class OracleReport:
             "witness_point": list(self.witness_point) if self.witness_point is not None else None,
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> OracleReport:
-        w = obj["witness_point"]
-        return cls(bool(obj["condition"]), bool(obj["det_p_nonzero"]), str(obj["mode"]),
-                   tuple(int(v) for v in w) if w is not None else None)
-
 
 def check_oracle_size(n: int) -> None:
     """Refuse a column count above MAX_ORACLE_N before anything is allocated."""
@@ -221,12 +209,12 @@ def check_oracle_size(n: int) -> None:
         raise ValueError(f"the oracle supports n <= MAX_ORACLE_N = {MAX_ORACLE_N}, got n={n}")
 
 
-def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
-                   trials: int = RANDOM_TRIALS) -> tuple[bool, tuple[int, ...] | None]:
+def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic",
+                   seed: int = 0) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether the coefficient determinant is a nonzero polynomial.
 
     Symbolic mode expands the determinant fully (k <= 6).  Randomized mode
-    evaluates at ``trials`` uniform points with coordinates in a set of size
+    evaluates at RANDOM_TRIALS uniform points with coordinates in a set of size
     max(1, 50*k*(k-1)) and answers True on the first nonzero value, returned
     as the witness.
     """
@@ -241,7 +229,7 @@ def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
     if mode == "randomized":
         size = max(1, 50 * spec.k * (spec.k - 1))
         rng = random.Random(seed)
-        for _ in range(trials):
+        for _ in range(RANDOM_TRIALS):
             point = tuple(rng.randrange(size) for _ in range(spec.n))
             if _evaluated_det(spec, point) != 0:
                 return True, point
@@ -249,10 +237,9 @@ def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def oracle_report(spec: SupportSpec, mode: str = "symbolic", seed: int = 0,
-                  trials: int = RANDOM_TRIALS) -> OracleReport:
+def oracle_report(spec: SupportSpec, mode: str = "symbolic", seed: int = 0) -> OracleReport:
     """Run the determinant oracle and pair it with the combinatorial check."""
-    nonzero, witness = det_is_nonzero(spec, mode=mode, seed=seed, trials=trials)
+    nonzero, witness = det_is_nonzero(spec, mode=mode, seed=seed)
     condition, _ = check_condition(spec)
     return OracleReport(condition=condition, det_nonzero=nonzero, mode=mode,
                         witness_point=witness)

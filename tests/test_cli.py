@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import Certificate, ConstructionResult, SubcodeResult, cli
+from cyclogab import ConstructionResult, cli
 from cyclogab.cli import main
 
 
@@ -174,6 +174,8 @@ def test_certify_accepts_equal_value_spelled_otherwise(capsys, good_spec, tmp_pa
     ["subcode", "--prime", "11", "--n", "6", "--k", "3", "--epsilon", "1e-2000"],
     ["construct", "--prime", "11", "--n", "6", "--k", "3", "--s-size", str(2 ** 256 + 1)],
     ["bound", "--n", "6", "--k", "3", "--epsilon", "1e-5000"],
+    ["bound", "--n", "6", "--k", "3", "--epsilon", "1e-10000000"],
+    ["construct", "--prime", "11", "--n", "6", "--k", "3", "--epsilon", "1e-10000000"],
 ])
 def test_oversized_sample_set_refused(capsys, argv):
     start = time.perf_counter()
@@ -241,8 +243,16 @@ def test_bound(capsys):
 
 
 def test_bound_rejects_bad_epsilon(capsys):
-    code, _, err = run(capsys, ["bound", "--n", "6", "--k", "3", "--epsilon", "7"])
-    assert code == 2
+    for epsilon, reason in [("7", "epsilon must be in (0, 1]"),
+                            ("1e+10000000", "epsilon must be in (0, 1]"),
+                            ("0e-10000000", "epsilon must be in (0, 1]"),
+                            ("1e-99999999999999999999", "decimal exponent out of range"),
+                            ("1/0", "zero denominator")]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["bound", "--n", "6", "--k", "3", "--epsilon", epsilon])
+        assert code == 2 and out == ""
+        assert reason in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1  # decided before any 10^e is built
 
 
 @pytest.mark.parametrize("n, k", [("-5", "2"), ("3", "0"), ("3", "4")])
@@ -320,14 +330,12 @@ def test_construct_writes_files(capsys, good_spec, tmp_path):
     code, out, _ = run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
                                 "--s-size", "200", "--seed", "1", "--out", str(out_dir)])
     assert code == 0
-    cert = Certificate.from_obj(json.loads(out))
-    assert cert.passed and cert.claimed_rank_distance == 3
+    cert = json.loads(out)
+    assert cert["passed"] is True and cert["claimed_rank_distance"] == 3
     result = ConstructionResult.from_obj(
         json.loads((out_dir / "result.json").read_text()))
     assert result.spec.n == 4 and result.seed == 1
-    file_cert = Certificate.from_obj(
-        json.loads((out_dir / "certificate.json").read_text()))
-    assert file_cert == cert
+    assert json.loads((out_dir / "certificate.json").read_text()) == cert
 
 
 def test_emitted_file_key_sets(capsys, good_spec, tmp_path):
@@ -411,12 +419,36 @@ def test_subcode_end_to_end(capsys, bad_spec, tmp_path):
     code, out, _ = run(capsys, ["subcode", "--prime", "5", "--zeros", bad_spec,
                                 "--s-size", "500", "--seed", "3", "--out", str(out_dir)])
     assert code == 0
-    cert = Certificate.from_obj(json.loads(out))
-    assert cert.ell == 4 and cert.hamming_distance == 1 and cert.passed
+    cert = json.loads(out)
+    assert cert["ell"] == 4 and cert["hamming_distance"] == 1 and cert["passed"] is True
     stored = json.loads((out_dir / "subcode.json").read_text())
-    sub = SubcodeResult.from_obj(stored)
-    assert sub.certificate == cert
-    assert sub.generator.rows == 2 and sub.generator.cols == 4
+    assert stored["certificate"] == cert
+    padded = ConstructionResult.from_obj(stored["padded"])
+    assert padded.spec.k == 4
+    assert stored["generator_sub"] == padded.generator.submatrix(range(2), range(4)).to_obj()
+
+
+@pytest.mark.parametrize("command, spec", [("construct", "good_spec"), ("subcode", "bad_spec")])
+def test_construction_failure_exit(capsys, tmp_path, request, command, spec):
+    # one sample value: every draw gives n equal points, so no draw succeeds
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, [command, "--prime", "7", "--zeros", request.getfixturevalue(spec),
+                                  "--s-size", "1", "--max-retries", "0", "--out", str(out_dir)])
+    assert code == 1 and out == ""
+    assert err.startswith("construction failed: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--prime", "7", "--n", "4", "--k", "2", "--s-size", "100"],
+    ["subcode", "--prime", "7", "--n", "4", "--k", "2", "--s-size", "100"],
+    ["certify", "result.json"],
+])
+def test_empty_out_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", ""])
+    assert exc.value.code == 2
+    assert "--out: must name a directory" in capsys.readouterr().err
 
 
 def test_oracle_modes_agree(capsys, good_spec):

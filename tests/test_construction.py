@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cyclogab import (ExactMatrix, RetriesExhausted, SupportSpec, ConstructionResult,
                       construct, is_independent, moore_matrix, required_sample_size,
                       sample_points, verify_support)
+from cyclogab.construction import _parse_epsilon
 from conftest import CONTEXTS
 from helpers import coordinate_rank
 
@@ -17,6 +18,7 @@ def test_required_sample_size_values():
     assert required_sample_size(6, 3, 1) == 12
     assert required_sample_size(1, 1, 0.5) == 2
     assert required_sample_size(6, 3, "0.01") == 1200
+    assert required_sample_size(6, 3, " 1/100 ") == 1200
     assert required_sample_size(5, 2, Fraction(1, 3)) == 21
 
 
@@ -24,6 +26,27 @@ def test_required_sample_size_values():
 def test_required_sample_size_range(eps):
     with pytest.raises(ValueError):
         required_sample_size(6, 3, eps)
+
+
+EPSILON_TEXT = st.one_of(
+    st.text(alphabet="0123456789eE+-._/ ", max_size=10),
+    st.from_regex(r"\s?[-+]?\d{0,3}\.?\d{0,3}([eE][-+]?\d{1,3})?\s?", fullmatch=True),
+    st.from_regex(r"\s?[-+]?\d{1,3}/\d{1,4}\s?", fullmatch=True))
+
+
+@given(text=EPSILON_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_parse_epsilon_agrees_with_fraction(text):
+    # the value Fraction reads whenever it lies in [10^-80, 1], else ValueError
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is not None and Fraction(1, 10 ** 80) <= value <= 1:
+        assert _parse_epsilon(text) == value
+    else:
+        with pytest.raises(ValueError):
+            _parse_epsilon(text)
 
 
 @pytest.mark.parametrize("n, k", [(-5, 2), (3, 0), (3, 4)])
