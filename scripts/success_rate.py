@@ -29,29 +29,48 @@ def single_draw_fails(task: tuple) -> bool:
         return True
 
 
-def parse_args() -> argparse.Namespace:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--prime", type=int, default=11)
     parser.add_argument("--zeros", metavar="FILE", help="pattern JSON; default: empty pattern")
     parser.add_argument("--n", type=int, default=6)
     parser.add_argument("--k", type=int, default=3)
     size = parser.add_mutually_exclusive_group()
-    size.add_argument("--s-size", dest="s_size", type=int)
+    size.add_argument("--s-size", dest="s_size", type=_positive_int)
     size.add_argument("--epsilon", default="0.01")
-    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--trials", type=_positive_int, default=200)
     parser.add_argument("--seed0", type=int, default=0, help="first trial seed; trial t uses seed0+t")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    return parser.parse_args()
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel worker processes")
+    return parser.parse_args(argv)
 
 
-def main() -> int:
-    args = parse_args()
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args: argparse.Namespace) -> int:
     if args.zeros:
         with open(args.zeros, "r", encoding="utf-8") as fh:
             spec = SupportSpec.from_obj(json.load(fh))
     else:
         spec = SupportSpec(args.n, args.k, [()] * args.k)
-    s_size = args.s_size or required_sample_size(spec.n, spec.k, args.epsilon)
+    if args.s_size is not None:
+        s_size = args.s_size
+    else:
+        s_size = required_sample_size(spec.n, spec.k, args.epsilon)
     bound = Fraction(spec.n + spec.k * (spec.k - 1), s_size)
 
     tasks = [(args.prime, spec.to_obj(), s_size, args.seed0 + t) for t in range(args.trials)]

@@ -18,18 +18,18 @@ the fast path.  q depends only on p and is not recorded.
 The sweep reduces G to F_q once and walks the column subsets depth-first, so
 subsets sharing a prefix share its reduction and each subset of a
 rank-(k-1) prefix costs one dot product; a prefix that reaches rank k has
-its extensions counted, not visited.  Visit order, exact calls, the count
-and the budget error are those of one elimination per subset.
+its extensions counted, not visited, and every subset the walk reaches in
+full is decided by the exact rank.  Visit order, exact calls, the count and
+the budget error are those of one elimination per subset.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .construction import ConstructionResult, construct, is_independent
@@ -77,19 +77,7 @@ class Certificate:
         return self.claimed_rank_distance == self.hamming_distance
 
     def to_obj(self) -> dict:
-        return {
-            "support_ok": self.support_ok,
-            "t_invertible": self.t_invertible,
-            "points_independent": self.points_independent,
-            "hamming_distance": self.hamming_distance,
-            "claimed_rank_distance": self.claimed_rank_distance,
-            "rank_distance_basis": self.rank_distance_basis,
-            "ell": self.ell,
-            "checked_minors": self.checked_minors,
-            "spec_sha256": self.spec_sha256,
-            "matrix_sha256": self.matrix_sha256,
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 def verify_support(matrix: ExactMatrix, spec: SupportSpec) -> bool:
@@ -130,20 +118,20 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     fraction-free: a column outside the span removes one vector, so the
     prefix has rank k minus their number, and with rank k-1 the one vector
     left is the normal that decides each further column by a dot product.
-    A subset whose image has rank k is proved full; once a prefix reaches
-    rank k every extension is, and is counted with ``math.comb`` unvisited.
-    Any other subset, including every one under a prefix that cannot reach
-    rank k in the columns left, or all of them when the image does not
-    exist, is decided by the exact rank, in order.  So verdicts, exact calls
-    and the count, budget error included, are those of one F_q elimination
-    per subset.
+    Once a prefix reaches rank k every extension is proved full, and is
+    counted with ``math.comb`` unvisited.  The walk therefore reaches a leaf
+    (a whole s-subset) only when its image has rank below k, and decides
+    that subset by the exact rank.  A matrix with no image gets zero
+    columns, which never raise the rank, so all its subsets reach the leaf.
+    So verdicts, exact calls and the count, budget error included, are
+    those of one F_q elimination per subset.
     """
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
     image = fq_image(matrix)
     if not proves_full_row_rank(image, q) and matrix.rank() < k:
         raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
-    columns = None if image is None else list(zip(*image))
+    columns = list(zip(*image)) if image is not None else [(0,) * k] * n
     checks = 0
 
     def count(subsets: int) -> None:
@@ -152,14 +140,6 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
         if checks > max_checks:
             raise ValueError(f"column-subset budget {max_checks} exceeded")
 
-    def exact(prefix: tuple[int, ...], start: int, left: int) -> bool:
-        # each completion by ``left`` columns from ``start`` on, decided exactly
-        for tail in itertools.combinations(range(start, n), left):
-            count(1)
-            if matrix.column_subset(prefix + tail).rank() < k:
-                return False
-        return True
-
     def full_at(s: int) -> bool:
         # depth-first over the s-subsets; anns[d] annihilates the first d columns
         prefix: list[int] = []
@@ -167,10 +147,10 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
         c = 0  # next candidate column at depth len(prefix)
         while True:
             ann, left = anns[-1], s - len(prefix)
-            if len(ann) > left:  # rank k is out of reach: decide exactly
-                if not exact(tuple(prefix), c, left):
+            if not left:  # a leaf whose image has rank below k: decide exactly
+                count(1)
+                if matrix.column_subset(prefix).rank() < k:
                     return False
-                c = n
             elif c <= n - left:
                 if len(ann) == 1 and sum(map(operator.mul, ann[0], columns[c])) % q:
                     count(math.comb(n - c - 1, left - 1))  # rank k: all extensions proved
@@ -185,7 +165,7 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
             anns.pop()
 
     for s in range(k, n + 1):
-        if exact((), 0, s) if columns is None else full_at(s):
+        if full_at(s):
             return n - s + 1, checks
     raise AssertionError("unreachable: a full-rank matrix has full rank at s = n")
 
@@ -196,8 +176,7 @@ def hamming_distance(matrix: ExactMatrix, max_checks: int = DEFAULT_MAX_CHECKS) 
 
 
 def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSpec,
-             distance: int, basis: str, ell: int | None, check_minors: bool,
-             max_checks: int) -> Certificate:
+             distance: int, basis: str, ell: int | None, check_minors: bool) -> Certificate:
     """Check the three premises exactly and claim ``distance`` under ``basis``;
     with ``check_minors`` the measured Hamming distance must equal it."""
     support_ok = verify_support(generator, spec)
@@ -210,7 +189,7 @@ def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSp
     checks = 0
     if support_ok and t_invertible and points_independent:
         if check_minors:
-            hamming, checks = _distance_sweep(generator, max_checks)
+            hamming, checks = _distance_sweep(generator, DEFAULT_MAX_CHECKS)
         if hamming is None or hamming == distance:
             claimed, tag = distance, basis
 
@@ -228,9 +207,7 @@ def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSp
     )
 
 
-def certify_mrd(result: ConstructionResult, spec: SupportSpec | None = None,
-                check_minors: bool = True,
-                max_checks: int = DEFAULT_MAX_CHECKS) -> Certificate:
+def certify_mrd(result: ConstructionResult, check_minors: bool = True) -> Certificate:
     """Re-verify a construction from scratch and certify its distances.
 
     All three premises are recomputed exactly; nothing is trusted from the
@@ -239,9 +216,9 @@ def certify_mrd(result: ConstructionResult, spec: SupportSpec | None = None,
     is measured and must confirm the same value.  Failed premises produce a
     failing certificate rather than an exception.
     """
-    target = spec if spec is not None else result.completed
-    return _certify(result, result.generator, target, target.n - target.k + 1,
-                    "gabidulin-theorem", None, check_minors, max_checks)
+    spec = result.completed
+    return _certify(result, result.generator, spec, spec.n - spec.k + 1,
+                    "gabidulin-theorem", None, check_minors)
 
 
 @dataclass(frozen=True)
@@ -261,8 +238,7 @@ class SubcodeResult:
 
 
 def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
-                  max_retries: int = 64, check_minors: bool = True,
-                  max_checks: int = DEFAULT_MAX_CHECKS) -> SubcodeResult:
+                  max_retries: int = 64, check_minors: bool = True) -> SubcodeResult:
     """Best achievable code for an infeasible pattern: pad with empty rows to
     the required dimension L, build at dimension L, and keep the first k rows.
 
@@ -274,8 +250,7 @@ def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     ell = required_dimension(spec)
     if ell <= spec.k:
         result = construct(spec, ctx, s_size, seed, max_retries)
-        cert = _certify(result, result.generator, result.completed, spec.n - spec.k + 1,
-                        "gabidulin-theorem", ell, check_minors, max_checks)
+        cert = replace(certify_mrd(result, check_minors), ell=ell)
         return SubcodeResult(result.generator, cert, result)
     if ell > spec.n:
         raise ValueError(
@@ -287,6 +262,5 @@ def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
         raise AssertionError("padded pattern must satisfy the support condition")
     result = construct(padded, ctx, s_size, seed, max_retries)
     sub = result.generator.submatrix(range(spec.k), range(spec.n))
-    cert = _certify(result, sub, spec, spec.n - ell + 1, "subcode-sandwich", ell,
-                    check_minors, max_checks)
+    cert = _certify(result, sub, spec, spec.n - ell + 1, "subcode-sandwich", ell, check_minors)
     return SubcodeResult(sub, cert, result)

@@ -186,6 +186,9 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     sub.add_argument("--max-retries", type=_non_negative_int, default=64,
                      help="redraw budget (default 64)")
+
+
+def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
                      help="force the full minor sweep on/off (default: on when its worst-case "
                           f"column-subset count fits the budget of {DEFAULT_MAX_CHECKS})")
@@ -214,19 +217,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con = subs.add_parser("construct", help="build and certify a full-distance generator")
     _add_spec_args(p_con)
     _add_run_args(p_con)
+    _add_output_args(p_con)
     p_con.set_defaults(func=cmd_construct)
 
     p_sub = subs.add_parser("subcode", help="best achievable code for an infeasible pattern")
     _add_spec_args(p_sub)
     _add_run_args(p_sub)
+    _add_output_args(p_sub)
     p_sub.set_defaults(func=cmd_subcode)
 
     p_cert = subs.add_parser("certify", help="re-certify a stored construction result")
     p_cert.add_argument("result", help="result JSON written by 'construct'")
-    p_cert.add_argument("--check-minors", action=argparse.BooleanOptionalAction, default=None,
-                        help="force the full minor sweep on/off (default: on when C(n, k) "
-                             f"fits the budget of {DEFAULT_MAX_CHECKS})")
-    p_cert.add_argument("--out", metavar="DIR", type=_out_dir)
+    _add_output_args(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
     p_or = subs.add_parser("oracle", help="polynomial determinant oracle for a pattern")

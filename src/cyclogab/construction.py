@@ -53,22 +53,25 @@ class RetriesExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class EvaluationPoints:
-    """n field elements with their integer coordinates over the power basis.
+    """n field elements with integer coordinates over the power basis.
 
-    coords[i][j] is the coefficient of basis element j in point i; every
-    coordinate lies in {0, ..., sample_set_size - 1}.
+    coords[i][j], derived from the elements, is the coefficient of basis
+    element j in point i; every coordinate lies in
+    {0, ..., sample_set_size - 1}.
     """
 
     elements: tuple[CycloElement, ...]
-    coords: tuple[tuple[int, ...], ...]
     sample_set_size: int
     seed: int
 
     def __post_init__(self) -> None:
-        if any(not 0 <= v < self.sample_set_size for row in self.coords for v in row):
+        if any(x.denominator != 1 or not all(0 <= v < self.sample_set_size for v in x.numerators)
+               for x in self.elements):
             raise ValueError("coordinates must lie in [0, sample_set_size)")
-        if len(self.elements) != len(self.coords):
-            raise ValueError("element/coordinate count mismatch")
+
+    @property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(x.numerators for x in self.elements)
 
     def to_obj(self) -> dict:
         return {
@@ -89,9 +92,8 @@ class EvaluationPoints:
         for row in coords:
             if len(row) != ctx.m:
                 raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
-        coords = tuple(tuple(row) for row in coords)
         elements = tuple(_element(ctx, row) for row in coords)
-        return cls(elements, coords, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
+        return cls(elements, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
 def _parse_epsilon(epsilon: Union[float, str, Fraction]) -> Fraction:
@@ -155,9 +157,9 @@ def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> Evaluat
     if n > ctx.m:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
     rng = random.Random(seed)
-    coords = tuple(tuple(rng.randrange(s_size) for _ in range(ctx.m)) for _ in range(n))
-    elements = tuple(_element(ctx, row) for row in coords)
-    return EvaluationPoints(elements, coords, s_size, seed)
+    elements = tuple(_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
+                     for _ in range(n))
+    return EvaluationPoints(elements, s_size, seed)
 
 
 def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -108,9 +109,9 @@ def test_certify_dependent_points_fails_without_claim(ctx11):
     # duplicate one coordinate row: the points become dependent while the
     # whole result stays internally consistent
     clean = sample_points(ctx11, STAIRCASE.n, 1200, seed=1)
-    coords = clean.coords[:-1] + (clean.coords[0],)
     elements = clean.elements[:-1] + (clean.elements[0],)
-    dependent = EvaluationPoints(elements, coords, 1200, seed=1)
+    dependent = EvaluationPoints(elements, 1200, seed=1)
+    assert dependent.coords == clean.coords[:-1] + (clean.coords[0],)
     cert = certify_mrd(make_result(ctx11, STAIRCASE, dependent, 1200, 1))
     assert not cert.points_independent
     assert cert.claimed_rank_distance is None
@@ -187,6 +188,7 @@ def test_subcode_degenerates_for_feasible_pattern(ctx11):
     assert cert.claimed_rank_distance == 4
     assert cert.rank_distance_basis == "gabidulin-theorem"
     assert sub.generator == sub.padded.generator
+    assert cert == replace(certify_mrd(sub.padded), ell=cert.ell)
 
 
 def test_subcode_rejects_oversized_dimension(ctx5):

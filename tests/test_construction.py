@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (ExactMatrix, RetriesExhausted, SupportSpec, ConstructionResult,
-                      construct, is_independent, moore_matrix, required_sample_size,
+from cyclogab import (ConstructionResult, EvaluationPoints, ExactMatrix, RetriesExhausted,
+                      SupportSpec, construct, is_independent, moore_matrix, required_sample_size,
                       sample_points, verify_support)
 from cyclogab.construction import _parse_epsilon
 from conftest import CONTEXTS
@@ -82,6 +82,16 @@ def test_sample_points_validates(ctx5):
         sample_points(ctx5, 3, 0, seed=0)
     with pytest.raises(ValueError):
         sample_points(ctx5, 5, 10, seed=0)  # n > m
+
+
+def test_evaluation_points_derive_coords_and_check_range(ctx5):
+    pts = sample_points(ctx5, 3, 7, seed=4)
+    assert EvaluationPoints(pts.elements, 7, seed=4) == pts
+    assert pts.coords == tuple(x.numerators for x in pts.elements)
+    for bad in [ctx5.element([7, 0, 0, 0]), ctx5.element([-1, 0, 0, 0]),
+                ctx5.from_rational(Fraction(1, 2))]:
+        with pytest.raises(ValueError, match="sample_set_size"):
+            EvaluationPoints(pts.elements[:2] + (bad,), 7, seed=4)
 
 
 def test_moore_matrix_single_point_column(ctx5):

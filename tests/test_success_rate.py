@@ -1,0 +1,43 @@
+"""Input handling of scripts/success_rate.py: every bad value exits 2 with a
+message, never a traceback, and an explicit --s-size is the size used."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "success_rate.py"
+_spec = importlib.util.spec_from_file_location("success_rate", SCRIPT)
+success_rate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(success_rate)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--s-size", "0"], "argument --s-size: must be >= 1, got 0"),
+    (["--trials", "0"], "argument --trials: must be >= 1, got 0"),
+    (["--trials", "-2"], "argument --trials: must be >= 1, got -2"),
+    (["--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+])
+def test_bad_counts_refused_at_parse_time(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        success_rate.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--epsilon", "7"], "error: epsilon must be in (0, 1], got 7"),
+    (["--zeros", "missing.json"], "error: [Errno 2]"),
+])
+def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert success_rate.main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_explicit_sample_size_is_used(capsys):
+    # s = 5 against a bound of 12/5: every failure is within it
+    assert success_rate.main(["--s-size", "5", "--trials", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "sample set size    5\n" in out
+    assert "trials             3 (seeds 0..2)" in out

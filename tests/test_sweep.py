@@ -73,14 +73,24 @@ def exact_rank_calls(monkeypatch, sweep, matrix):
     return result, len(calls)
 
 
-def test_same_exact_calls_as_reference(monkeypatch):
-    ctx = CONTEXTS[5]
-    one, x = ctx.one(), false_zero(ctx)
+def false_zero_pair(ctx):
     # columns 0 and 1 are a false zero's multiples, so {0, 1} needs the exact rank
-    g = ExactMatrix.from_rows(ctx, [[one, x, one, ctx.zero()], [one, one, one, one]])
-    new = exact_rank_calls(monkeypatch, _distance_sweep, g)
-    assert new == exact_rank_calls(monkeypatch, reference_distance_sweep, g)
-    assert new[1] > 0
+    one = ctx.one()
+    return [[one, false_zero(ctx), one, ctx.zero()], [one, one, one, one]]
+
+
+def no_image(ctx):
+    # no image in F_q: every subset is decided by the exact rank, in order
+    one = ctx.one()
+    return [[one, q_denominator(ctx), one, ctx.zero()], [one, one, ctx.zeta(1), one]]
+
+
+def test_same_exact_calls_as_reference(monkeypatch):
+    for rows in (false_zero_pair, no_image):
+        g = ExactMatrix.from_rows(CONTEXTS[5], rows(CONTEXTS[5]))
+        new = exact_rank_calls(monkeypatch, _distance_sweep, g)
+        assert new == exact_rank_calls(monkeypatch, reference_distance_sweep, g)
+        assert new[1] > 0
 
 
 def test_proved_image_needs_no_exact_rank(monkeypatch):
