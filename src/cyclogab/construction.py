@@ -71,7 +71,7 @@ class EvaluationPoints:
 
     @property
     def coords(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(x.numerators for x in self.elements)
+        return tuple([x.numerators for x in self.elements])
 
     def to_obj(self) -> dict:
         return {
@@ -92,7 +92,7 @@ class EvaluationPoints:
         for row in coords:
             if len(row) != ctx.m:
                 raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
-        elements = tuple(_element(ctx, row) for row in coords)
+        elements = tuple([_element(ctx, row) for row in coords])
         return cls(elements, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
@@ -157,8 +157,8 @@ def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> Evaluat
     if n > ctx.m:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
     rng = random.Random(seed)
-    elements = tuple(_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
-                     for _ in range(n))
+    elements = tuple([_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
+                      for _ in range(n)])
     return EvaluationPoints(elements, s_size, seed)
 
 
@@ -176,7 +176,7 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
     data = [tuple(points)]
     for _ in range(rows - 1):
-        data.append(tuple(x.aut(1) for x in data[-1]))
+        data.append(tuple([x.aut(1) for x in data[-1]]))
     return ExactMatrix.from_rows(ctx, data)
 
 

@@ -227,7 +227,7 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
 
 def _common_numerators(vectors: Sequence[Sequence[CycloElement]]) -> tuple[int, list[list]]:
     # every element's numerators over the lcm of all the denominators
-    den = math.lcm(*(e.denominator for vec in vectors for e in vec))
+    den = math.lcm(*[e.denominator for vec in vectors for e in vec])
     return den, [[e.numerators if den == 1 else [v * (den // e.denominator) for v in e.numerators]
                   for e in vec] for vec in vectors]
 
@@ -249,9 +249,9 @@ class CycloElement:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) != ctx.m:
             raise ValueError(f"expected {ctx.m} coefficients, got {len(cs)}")
-        den = math.lcm(*(c.denominator for c in cs))
+        den = math.lcm(*[c.denominator for c in cs])
         self.ctx = ctx
-        self.numerators = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.numerators = tuple([c.numerator * (den // c.denominator) for c in cs])
         self.denominator = den
 
     @property

@@ -230,7 +230,7 @@ def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic",
         size = max(1, 50 * spec.k * (spec.k - 1))
         rng = random.Random(seed)
         for _ in range(RANDOM_TRIALS):
-            point = tuple(rng.randrange(size) for _ in range(spec.n))
+            point = tuple([rng.randrange(size) for _ in range(spec.n)])
             if _evaluated_det(spec, point) != 0:
                 return True, point
         return False, None

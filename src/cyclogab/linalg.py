@@ -76,7 +76,7 @@ class ExactMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[CycloElement, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple([self.entries[i * self.cols + j] for i in range(self.rows)])
 
     def row_lists(self) -> list[list[CycloElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -254,4 +254,4 @@ def bordered_minor_row(ctx: GaloisContext,
             a_aut, inv = a.aut(1), lead.aut(1).inverse() if step else 1
             shifted = [zero] + [e.aut(1) for e in c]
             c = [(a * s - a_aut * e) * inv for s, e in zip(shifted, c + [zero])]
-    return tuple(-e for e in c) if len(points) % 2 else tuple(c)
+    return tuple([-e for e in c]) if len(points) % 2 else tuple(c)

@@ -14,6 +14,13 @@ of h, joined where a row has no zero), found by one maximum matching
 violated condition is witnessed by the violating row set whose group mask
 (bit b for group b) is the least integer, found with at most one more
 matching per group.
+
+Completion pads each zero set of a feasible pattern to k-1 columns.  Adding
+column c to row i can only break the condition for row sets made of i and
+rows that already hold c, and for those the common zeros grow by exactly c.
+So c is admissible iff the best such set, with row i and column c counted as
+forced, has value at most k: one matching per candidate, over column masks
+of the zero sets.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ MAX_ROWS = 24  # input bound on k; the check itself is polynomial in k
 
 
 class CompletionError(RuntimeError):
-    """No admissible column was found while padding a pattern; this signals
-    an internal bug or a violated precondition, not a property of the input."""
+    """Padding a pattern found no admissible column, or the padded pattern
+    failed its final check; this signals an internal bug or a violated
+    precondition, not a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class SupportSpec:
     zeros: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
-        zs = tuple(frozenset(int(c) for c in z) for z in zeros)
+        zs = tuple([frozenset(int(c) for c in z) for z in zeros])
         _check_shape(n, k)
         if len(zs) != k:
             raise ValueError(f"expected {k} zero sets, got {len(zs)}")
@@ -201,26 +209,36 @@ def complete_sets(spec: SupportSpec) -> SupportSpec:
     """Pad every zero set of a feasible pattern to exactly k-1 columns.
 
     Greedy and deterministic: rows in increasing index order, candidate
-    columns in increasing index order, keeping the first candidate that
-    leaves the pattern feasible.  Each kept candidate is re-verified with the
-    full condition check rather than trusted.
+    columns in increasing index order, keeping the first admissible
+    candidate.  A candidate costs one matching (see the module docstring),
+    and the completed pattern gets one full condition check, which raises
+    CompletionError if it fails.  Returns ``spec`` itself when every row
+    already has k-1 zeros.
     """
     ok, _ = check_condition(spec)
     if not ok:
         raise ValueError("pattern must satisfy the support condition before completion")
-    zeros = [set(z) for z in spec.zeros]
-    for i in range(spec.k):
-        while len(zeros[i]) < spec.k - 1:
-            for c in range(1, spec.n + 1):
-                if c in zeros[i]:
-                    continue
-                candidate = SupportSpec(spec.n, spec.k,
-                                        [z | {c} if t == i else z for t, z in enumerate(zeros)])
-                if check_condition(candidate)[0]:
-                    zeros[i].add(c)
-                    break
-            else:
-                raise CompletionError(f"no admissible column for row {i + 1}")
-    if all(len(z) == len(orig) for z, orig in zip(zeros, spec.zeros)):
+    if spec.is_completed():
         return spec
-    return SupportSpec(spec.n, spec.k, zeros)
+    k = spec.k
+    index: dict[int, int] = {}  # column -> its mask bit, numbered on first sight
+    masks = [sum(1 << index.setdefault(c, len(index)) for c in z) for z in spec.zeros]
+    zeros = [set(z) for z in spec.zeros]
+    for i, z in enumerate(zeros):
+        # a growing zero set only raises these values, so a rejected column
+        # stays rejected and the scan never restarts
+        for c in range(1, spec.n + 1):
+            if len(z) == k - 1:
+                break
+            if c in z:
+                continue
+            holders = [(masks[j], (j,)) for j, other in enumerate(zeros) if j != i and c in other]
+            if _best_value(masks[i], 2, holders) <= k:
+                z.add(c)
+                masks[i] |= 1 << index.setdefault(c, len(index))
+        if len(z) < k - 1:
+            raise CompletionError(f"no admissible column for row {i + 1}")
+    done = SupportSpec(spec.n, k, zeros)
+    if not check_condition(done)[0]:
+        raise CompletionError("the completed pattern fails the support condition")
+    return done

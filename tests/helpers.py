@@ -4,7 +4,7 @@ import cmath
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from cyclogab import ExactMatrix, SupportSpec
+from cyclogab import CompletionError, ExactMatrix, SupportSpec, check_condition
 from cyclogab.linalg import fq_image, proves_full_row_rank
 
 
@@ -131,6 +131,30 @@ def brute_required_dimension(spec: SupportSpec) -> int:
                 common &= spec.zeros[i]
             best = max(best, len(common) + len(omega))
     return best
+
+
+def reference_complete_sets(spec: SupportSpec) -> SupportSpec:
+    """The completion greedy by full condition checks: rows in increasing
+    order, and for each missing zero the least column whose addition leaves
+    the whole pattern feasible.  ``complete_sets`` must pick the same."""
+    if not check_condition(spec)[0]:
+        raise ValueError("pattern must satisfy the support condition before completion")
+    zeros = [set(z) for z in spec.zeros]
+    for i in range(spec.k):
+        while len(zeros[i]) < spec.k - 1:
+            for c in range(1, spec.n + 1):
+                if c in zeros[i]:
+                    continue
+                candidate = SupportSpec(spec.n, spec.k,
+                                        [z | {c} if t == i else z for t, z in enumerate(zeros)])
+                if check_condition(candidate)[0]:
+                    zeros[i].add(c)
+                    break
+            else:
+                raise CompletionError(f"no admissible column for row {i + 1}")
+    if all(len(z) == len(orig) for z, orig in zip(zeros, spec.zeros)):
+        return spec
+    return SupportSpec(spec.n, spec.k, zeros)
 
 
 def subset_values(spec: SupportSpec):

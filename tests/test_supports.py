@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclogab import (CompletionError, SupportSpec, check_condition, complete_sets,
-                      required_dimension)
+                      required_dimension, supports)
+from cyclogab.supports import MAX_ROWS
 from helpers import (brute_condition, brute_required_dimension, enumerated_condition,
-                     enumerated_required_dimension)
+                     enumerated_required_dimension, reference_complete_sets)
 
 
 def random_specs(max_n=8, max_k=4, satisfying=None):
@@ -24,6 +25,20 @@ def random_specs(max_n=8, max_k=4, satisfying=None):
     if satisfying is not None:
         strat = strat.filter(lambda s: check_condition(s)[0] == satisfying)
     return strat
+
+
+def counting_check(monkeypatch, fail_from=None):
+    # wraps supports.check_condition; calls numbered fail_from and later report a violation
+    calls = []
+    real = supports.check_condition
+
+    def wrapped(spec):
+        calls.append(spec)
+        if fail_from is not None and len(calls) >= fail_from:
+            return False, frozenset({1})
+        return real(spec)
+    monkeypatch.setattr(supports, "check_condition", wrapped)
+    return calls
 
 
 def test_condition_examples():
@@ -129,9 +144,11 @@ def test_completion_exhaustive_oracle_small():
     assert (min(done.zeros[0]), min(done.zeros[1])) in valid
 
 
-def test_completion_already_complete_is_identity():
+def test_completion_already_complete_is_identity(monkeypatch):
+    calls = counting_check(monkeypatch)
     spec = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
     assert complete_sets(spec) is spec
+    assert len(calls) == 1
 
 
 def test_completion_rejects_violating_input():
@@ -147,6 +164,40 @@ def test_completion_properties(spec):
     assert all(orig <= new for orig, new in zip(spec.zeros, done.zeros))
     assert check_condition(done)[0]
     assert complete_sets(done) is done
+
+
+@given(st.one_of(specs_with_duplicates(max_k=MAX_ROWS),
+                 random_specs(max_n=MAX_ROWS + 8, max_k=MAX_ROWS))
+       .filter(lambda s: check_condition(s)[0]))
+@settings(max_examples=40, deadline=None)
+def test_completion_matches_reference_greedy(spec):
+    # one matching per candidate picks what the full re-check per candidate
+    # picks, and both hand back an already completed input itself
+    done, reference = complete_sets(spec), reference_complete_sets(spec)
+    assert done == reference
+    assert (done is spec) == (reference is spec) == spec.is_completed()
+    assert complete_sets(done) is done
+
+
+def test_completion_checks_the_pattern_twice(monkeypatch):
+    # once on the input and once on the completed pattern, never per candidate
+    calls = counting_check(monkeypatch)
+    done = complete_sets(SupportSpec(48, 24, [(2 * i + 1, 2 * i + 2) for i in range(24)]))
+    assert done.is_completed()
+    assert len(calls) == 2 and calls[1] is done
+
+
+def test_completion_failing_final_check_raises(monkeypatch):
+    counting_check(monkeypatch, fail_from=2)
+    with pytest.raises(CompletionError, match="completed pattern fails"):
+        complete_sets(SupportSpec(3, 2, [(), ()]))
+
+
+def test_completion_with_huge_column_indices():
+    # columns are masked by order of first sight, never by value
+    spec = SupportSpec(10**9, 3, [[10**9], [10**9], []])
+    assert complete_sets(spec).zeros == (frozenset({1, 10**9}), frozenset({2, 10**9}),
+                                         frozenset({1, 2}))
 
 
 @given(random_specs(satisfying=True))
