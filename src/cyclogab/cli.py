@@ -133,7 +133,10 @@ def cmd_subcode(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    result = ConstructionResult.from_obj(_read_json(args.result))
+    try:
+        result = ConstructionResult.from_obj(_read_json(args.result))
+    except KeyError as exc:
+        raise ValueError(f"{args.result}: missing field {exc.args[0]!r}") from None
     spec = result.spec
     cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
     return _emit(args.out, cert, {})
@@ -248,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             return args.func(args)
-        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except RetriesExhausted as exc:

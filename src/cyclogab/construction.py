@@ -248,9 +248,10 @@ class ConstructionResult:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConstructionResult:
-        """Load a stored result; malformed input, and stored ``moore`` or
-        ``generator`` matrices that differ from the ones derived from the
-        points and the transform, raise ValueError."""
+        """Load a stored result; a missing field raises KeyError naming it,
+        other malformed input, and stored ``moore`` or ``generator`` matrices
+        that differ from the ones derived from the points and the transform,
+        raise ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a construction result must be a JSON object")
         ctx = GaloisContext.from_obj(obj["context"])

@@ -152,14 +152,6 @@ class GaloisContext:
         f = Fraction(value)
         return _element(self, (f.numerator,) + (0,) * (self.m - 1), f.denominator)
 
-    def zeta(self, power: int = 1) -> CycloElement:
-        """zeta^power, reduced into the power basis."""
-        t = power % self.p
-        if t < self.m:
-            return _element(self, tuple(1 if i == t else 0 for i in range(self.m)))
-        # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        return _element(self, (-1,) * self.m)
-
     def to_obj(self) -> dict:
         return {"p": self.p}
 

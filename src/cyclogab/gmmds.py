@@ -12,6 +12,13 @@ evaluation at uniform integer points.  The randomized mode has one-sided
 error: a "nonzero" verdict always carries a witness point, while a "zero"
 verdict can be wrong with probability at most 1/100 per trial because the
 determinant has total degree at most k*(k-1)/2.
+
+At each random point the integer matrix is first eliminated modulo the
+prime DET_MODULUS = 2^61 - 1.  Full rank there proves the determinant
+nonzero, since it is then nonzero mod q.  Any other outcome proves nothing
+(q may divide a nonzero determinant), so that point is decided by exact
+fraction-free elimination over Z; the verdict and the witness point are the
+ones exact arithmetic alone gives.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .linalg import _eliminate, _int_quotient
+from .linalg import _eliminate, _int_quotient, _mod_reducer
 from .supports import SupportSpec, _check_shape, check_condition
 
 SYMBOLIC_MAX_K = 6
 RANDOM_TRIALS = 16
 MAX_ORACLE_N = 1024  # both modes allocate per column: n-coordinate points, n-variable polynomials
+DET_MODULUS = 2**61 - 1  # a prime: full rank mod it proves a nonzero determinant
 
 
 class SparsePoly:
@@ -63,10 +71,6 @@ class SparsePoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest monomial degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
 
     def _check(self, other: SparsePoly) -> None:
         if self.nvars != other.nvars:
@@ -179,10 +183,14 @@ def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     return minor(0, tuple(range(k)))
 
 
-def _evaluated_det(spec: SupportSpec, point: Sequence[int]) -> int:
+def _det_nonzero_at(spec: SupportSpec, point: Sequence[int]) -> bool:
+    """Whether the coefficient matrix is nonsingular at the integer point:
+    proved by full rank mod DET_MODULUS, else decided by exact Bareiss."""
     rows = [_root_product([point[t - 1] for t in sorted(z)], 0, 1) for z in spec.zeros]
-    rank, det = _eliminate(rows, _int_quotient)
-    return det if rank == len(rows) else 0
+    q = DET_MODULUS
+    if _eliminate([[c % q for c in row] for row in rows], _mod_reducer(q))[0] == len(rows):
+        return True
+    return _eliminate(rows, _int_quotient)[0] == len(rows)
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,7 @@ def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic",
         rng = random.Random(seed)
         for _ in range(RANDOM_TRIALS):
             point = tuple([rng.randrange(size) for _ in range(spec.n)])
-            if _evaluated_det(spec, point) != 0:
+            if _det_nonzero_at(spec, point):
                 return True, point
         return False, None
     raise ValueError(f"unknown mode {mode!r}")

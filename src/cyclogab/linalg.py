@@ -57,11 +57,6 @@ class ExactMatrix:
         return cls(ctx, r, c, [e for row in rows for e in row])
 
     @classmethod
-    def identity(cls, ctx: GaloisContext, n: int) -> ExactMatrix:
-        one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @classmethod
     def zeros(cls, ctx: GaloisContext, rows: int, cols: int) -> ExactMatrix:
         zero = ctx.zero()
         return cls(ctx, rows, cols, [zero] * (rows * cols))
@@ -80,10 +75,6 @@ class ExactMatrix:
 
     def row_lists(self) -> list[list[CycloElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(self.ctx, self.cols, self.rows,
-                           [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> ExactMatrix:
         return ExactMatrix(self.ctx, len(row_idx), len(col_idx),

@@ -15,6 +15,16 @@ violated condition is witnessed by the violating row set whose group mask
 (bit b for group b) is the least integer, found with at most one more
 matching per group.
 
+Two exact shortcuts save matchings.  A row set made of the forced rows, some
+free rows and columns from a mask has value at most forced + (free rows) +
+|columns|; when that bound is at most k, the value is reported as k with no
+matching, since every caller only compares it with k, and the required
+dimension is at least k anyway (all k rows give |common zeros| + k).  And
+Kuhn's search stops once every column of the mask is matched.  The group
+values are computed once per pattern object and kept on it, so repeated
+checks of one pattern (construction, completion, the oracle, the witness
+pass of ``check``) cost one computation.
+
 Completion pads each zero set of a feasible pattern to k-1 columns.  Adding
 column c to row i can only break the condition for row sets made of i and
 rows that already hold c, and for those the common zeros grow by exactly c.
@@ -26,6 +36,7 @@ of the zero sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 MAX_ROWS = 24  # input bound on k; the check itself is polynomial in k
@@ -73,6 +84,13 @@ class SupportSpec:
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
+
+    @cached_property
+    def _group_values(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
+        """The groups of ``_groups`` and their ``_top_values``, computed on
+        first use and kept on this object (outside the compared fields)."""
+        groups = _groups(self)
+        return groups, _top_values(groups, self.k)
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -123,9 +141,10 @@ def _groups(spec: SupportSpec) -> list[tuple[int, tuple[int, ...]]]:
             for z, r in rows.items()]
 
 
-def _matching_size(adjacency: list[int]) -> int:
+def _matching_size(adjacency: list[int], columns: int) -> int:
     """Size of a maximum matching between left vertices and column bits, by
-    Kuhn's augmenting paths; adjacency[u] is the column mask of vertex u."""
+    Kuhn's augmenting paths; adjacency[u] is the column mask of vertex u,
+    inside ``columns``.  The search stops once every column is matched."""
     owner: dict[int, int] = {}  # matched column bit -> its left vertex
     taken = 0  # mask of the matched columns
     seen = 0  # matched columns already reached by the current search
@@ -150,14 +169,18 @@ def _matching_size(adjacency: list[int]) -> int:
 
     size = 0
     for u in range(len(adjacency)):
+        if taken == columns:
+            break
         seen = 0
         size += augment(u)
     return size
 
 
-def _best_value(columns: int, forced: int, free: list[tuple[int, tuple[int, ...]]]) -> int:
+def _best_value(columns: int, forced: int, free: list[tuple[int, tuple[int, ...]]],
+                k: int) -> int:
     """Largest forced + |rows of S| + |columns common to every zero set of S|
-    over the subsets S of the free groups, with columns drawn from the mask.
+    over the subsets S of the free groups, with columns drawn from the mask;
+    k in its place when the count bound proves it at most k.
 
     A row set S and columns C lying in all its zero sets form an independent
     set of the bipartite graph joining each free row to the columns of the
@@ -166,14 +189,17 @@ def _best_value(columns: int, forced: int, free: list[tuple[int, tuple[int, ...]
     vertices.
     """
     adjacency = [columns & ~mask for mask, rows in free for _ in rows]
-    return forced + len(adjacency) + columns.bit_count() - _matching_size(adjacency)
+    bound = forced + len(adjacency) + columns.bit_count()
+    if bound <= k:
+        return k
+    return bound - _matching_size(adjacency, columns)
 
 
-def _top_values(groups: list[tuple[int, tuple[int, ...]]]):
-    """Yield, for each group h, the largest value of a row set whose groups
-    are h and some of the earlier ones."""
-    for h, (columns, rows) in enumerate(groups):
-        yield _best_value(columns, len(rows), groups[:h])
+def _top_values(groups: list[tuple[int, tuple[int, ...]]], k: int) -> list[int]:
+    """For each group h, the largest value of a row set whose groups are h
+    and some of the earlier ones (k when that is provably at most k)."""
+    return [_best_value(columns, len(rows), groups[:h], k)
+            for h, (columns, rows) in enumerate(groups)]
 
 
 def check_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
@@ -184,13 +210,14 @@ def check_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
     above k; then each earlier group, latest first, is left out whenever a
     violating set remains without it, and kept otherwise.
     """
-    groups = _groups(spec)
-    top = next((h for h, value in enumerate(_top_values(groups)) if value > spec.k), None)
+    groups, values = spec._group_values
+    k = spec.k
+    top = next((h for h, value in enumerate(values) if value > k), None)
     if top is None:
         return True, None
     columns, rows = groups[top][0], list(groups[top][1])
     for b in reversed(range(top)):
-        if _best_value(columns, len(rows), groups[:b]) <= spec.k:
+        if _best_value(columns, len(rows), groups[:b], k) <= k:
             columns &= groups[b][0]
             rows += groups[b][1]
     return False, frozenset(rows)
@@ -202,7 +229,7 @@ def required_dimension(spec: SupportSpec) -> int:
     Equals the maximum over nonempty row subsets of |common columns| + |rows|;
     the pattern is feasible at dimension k exactly when this is <= k.
     """
-    return max(_top_values(_groups(spec)))
+    return max(spec._group_values[1])
 
 
 def complete_sets(spec: SupportSpec) -> SupportSpec:
@@ -233,7 +260,7 @@ def complete_sets(spec: SupportSpec) -> SupportSpec:
             if c in z:
                 continue
             holders = [(masks[j], (j,)) for j, other in enumerate(zeros) if j != i and c in other]
-            if _best_value(masks[i], 2, holders) <= k:
+            if _best_value(masks[i], 2, holders, k) <= k:
                 z.add(c)
                 masks[i] |= 1 << index.setdefault(c, len(index))
         if len(z) < k - 1:

@@ -91,6 +91,27 @@ class FractionElement:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
+def zeta(ctx, power: int = 1):
+    """zeta^power in the power basis; zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    t = power % ctx.p
+    return ctx.element([-1] * ctx.m if t == ctx.m else [int(i == t) for i in range(ctx.m)])
+
+
+def identity(ctx, n: int) -> ExactMatrix:
+    one, zero = ctx.one(), ctx.zero()
+    return ExactMatrix(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+
+
+def transpose(matrix: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(matrix.ctx, matrix.cols, matrix.rows,
+                       [matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)])
+
+
+def total_degree(poly) -> int:
+    """Largest monomial degree of a SparsePoly; -1 for the zero polynomial."""
+    return max((sum(m) for m in poly.terms), default=-1)
+
+
 def perm_sign(perm) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                      if perm[i] > perm[j])

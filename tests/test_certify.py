@@ -12,7 +12,7 @@ from cyclogab import (Certificate, ConstructionResult, EvaluationPoints, ExactMa
 from cyclogab.certify import _distance_sweep
 from cyclogab.cli import main
 from conftest import CONTEXTS
-from helpers import brute_hamming_distance
+from helpers import brute_hamming_distance, identity, zeta
 
 STAIRCASE = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
 
@@ -33,14 +33,14 @@ def test_verify_support_detects_perturbation(ctx11):
 
 def test_verify_support_empty_pattern(ctx5):
     empty = SupportSpec(3, 2, [(), ()])
-    m = ExactMatrix.from_rows(ctx5, [[ctx5.one()] * 3, [ctx5.zeta(1)] * 3])
+    m = ExactMatrix.from_rows(ctx5, [[ctx5.one()] * 3, [zeta(ctx5, 1)] * 3])
     assert verify_support(m, empty)
     with pytest.raises(ValueError):
         verify_support(m, SupportSpec(4, 2, [(), ()]))
 
 
 def test_hamming_distance_identity(ctx5):
-    assert hamming_distance(ExactMatrix.identity(ctx5, 2)) == 1
+    assert hamming_distance(identity(ctx5, 2)) == 1
 
 
 def test_hamming_distance_single_row(ctx5):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ConstructionResult, cli
+from cyclogab import ConstructionResult, cli, supports
 from cyclogab.cli import main
 
 
@@ -110,6 +110,23 @@ def test_certify_malformed_result_types(capsys, good_spec, tmp_path, mutate):
     code, _, err = run(capsys, ["certify", write_spec(tmp_path / "typed.json", obj)])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("path", [
+    ["context"], ["spec"], ["completed_zeros"], ["points"], ["transform"], ["moore"],
+    ["generator"], ["transform", "entries"], ["moore", "entries"], ["generator", "entries"],
+])
+def test_certify_names_missing_field(capsys, good_spec, tmp_path, path):
+    def drop(obj):
+        inner = obj
+        for key in path[:-1]:
+            inner = inner[key]
+        del inner[path[-1]]
+        return obj
+    edited = _edited_result(capsys, good_spec, tmp_path, drop)
+    code, out, err = run(capsys, ["certify", edited])
+    assert code == 2 and out == ""
+    assert err == f"error: {edited}: missing field {path[-1]!r}\n"
 
 
 @pytest.mark.parametrize("mutate, reason", [
@@ -478,6 +495,29 @@ def test_oracle_rejects_uncompletable_pattern(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "--zeros", spec])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, zeros, computations", [
+    # the input pattern and its completion, each checked once however often
+    # check_condition, complete_sets and oracle_report ask
+    (["oracle", "--mode", "randomized"], [[1], [], [2]], 2),
+    (["construct", "--prime", "7", "--s-size", "200"], [[1], [], [2]], 2),
+    # the witness pass reuses the values that decided ell
+    (["check"], [[1, 2], [1, 2], []], 1),
+])
+def test_one_group_value_computation_per_pattern(capsys, monkeypatch, tmp_path,
+                                                 argv, zeros, computations):
+    calls = []
+    real = supports._top_values
+
+    def counted(groups, k):
+        calls.append(k)
+        return real(groups, k)
+    monkeypatch.setattr(supports, "_top_values", counted)
+    spec = write_spec(tmp_path / "p.json", {"n": 5, "k": 3, "zeros": zeros})
+    main(argv + ["--zeros", spec])
+    capsys.readouterr()
+    assert len(calls) == computations
 
 
 def test_oracle_sweep(capsys):

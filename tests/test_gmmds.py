@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (SparsePoly, SupportSpec, check_condition, det_is_nonzero,
+from cyclogab import (SparsePoly, SupportSpec, check_condition, det_is_nonzero, gmmds,
                       oracle_report, support_polynomial_matrix, sweep_agreement,
                       symbolic_det)
+from helpers import cofactor_det, total_degree
 
 
 def lift(poly, extra=1):
@@ -22,10 +23,10 @@ def test_sparse_poly_arithmetic():
     y = SparsePoly.variable(2, 1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert p.total_degree() == 2
+    assert total_degree(p) == 2
     assert p.evaluate([Fraction(3), Fraction(2)]) == 5
     assert (p - p).is_zero
-    assert SparsePoly.zero(2).total_degree() == -1
+    assert total_degree(SparsePoly.zero(2)) == -1
     with pytest.raises(ValueError):
         x + SparsePoly.variable(3, 0)
 
@@ -164,4 +165,38 @@ def test_determinant_degree_bound():
         n = rng.randint(k, 6)
         zeros = [rng.sample(range(1, n + 1), k - 1) for _ in range(k)]
         det = symbolic_det(support_polynomial_matrix(SupportSpec(n, k, zeros)))
-        assert det.total_degree() <= k * (k - 1) // 2
+        assert total_degree(det) <= k * (k - 1) // 2
+
+
+def exact_first_nonzero(spec, seed):
+    """First draw of the randomized mode with a nonzero determinant, found by
+    evaluating the symbolic matrix and expanding by cofactors."""
+    matrix = support_polynomial_matrix(spec)
+    size = max(1, 50 * spec.k * (spec.k - 1))
+    rng = random.Random(seed)
+    for _ in range(gmmds.RANDOM_TRIALS):
+        point = tuple([rng.randrange(size) for _ in range(spec.n)])
+        det = cofactor_det([[entry.evaluate(point) for entry in row] for row in matrix], 1)
+        if det:
+            return point, det
+    return None, 0
+
+
+@pytest.mark.parametrize("zeros", [[(1, 2), (1, 3), (2, 3)], [(1, 2), (3, 4), (1, 4)],
+                                   [(1, 2), (1, 2), (3, 4)]])
+def test_zero_mod_q_falls_back_to_exact(monkeypatch, zeros):
+    # with q = 2 the first nonzero determinant drawn is even (or, for the
+    # violating pattern, every one is zero); zero mod q proves nothing, so
+    # exact Bareiss must give the exact-only verdict and witness
+    q = 2
+    spec = SupportSpec(4, 3, zeros)
+    seed, (point, det) = next((s, exact_first_nonzero(spec, s)) for s in range(100)
+                              if exact_first_nonzero(spec, s)[1] % q == 0)
+    monkeypatch.setattr(gmmds, "DET_MODULUS", q)
+    exact_steps = []
+    real = gmmds._int_quotient
+    monkeypatch.setattr(gmmds, "_int_quotient", lambda prev: exact_steps.append(prev) or real(prev))
+    nonzero, witness = det_is_nonzero(spec, mode="randomized", seed=seed)
+    assert (nonzero, witness) == (point is not None, point)
+    assert exact_steps
+    assert nonzero == check_condition(spec)[0]

@@ -99,13 +99,47 @@ def specs_with_duplicates(draw, max_k=10):
     return SupportSpec(n, k, [bases[i] for i in picks])
 
 
-@given(st.one_of(specs_with_duplicates(), random_specs(max_n=14, max_k=10)))
-@settings(max_examples=150, deadline=None)
+@st.composite
+def bound_regimes(draw, max_k=12):
+    # dense rows (near k - 1 zeros, the count bound rarely decides a group),
+    # sparse rows (it always does) or a mix, with some rows repeated; k stays
+    # small enough for the 2^d walk of the reference
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    n = draw(st.integers(min_value=k, max_value=k + 5))
+    low, high = draw(st.sampled_from([(max(0, k - 3), k - 1), (0, k // 3), (0, k)]))
+    zeros = []
+    for _ in range(k):
+        if zeros and draw(st.integers(min_value=0, max_value=4)) == 0:
+            zeros.append(draw(st.sampled_from(zeros)))
+        else:
+            size = draw(st.integers(min_value=min(low, n), max_value=min(high, n)))
+            zeros.append(draw(st.permutations(range(1, n + 1)))[:size])
+    return SupportSpec(n, k, zeros)
+
+
+@given(st.one_of(specs_with_duplicates(), random_specs(max_n=14, max_k=10), bound_regimes()))
+@settings(max_examples=200, deadline=None)
 def test_matching_matches_enumeration(spec):
-    # verdict, witness (least violating group mask) and ell of the matching
-    # analysis equal those of the exponential subset walk
+    # verdict, witness (least violating group mask), ell and completion of
+    # the matching analysis, with the matchings the count bound decides
+    # skipped, equal those of the exponential subset walk and of the
+    # completion greedy by full re-checks
     assert check_condition(spec) == enumerated_condition(spec)
     assert required_dimension(spec) == enumerated_required_dimension(spec)
+    if check_condition(spec)[0]:
+        assert complete_sets(spec) == reference_complete_sets(spec)
+
+
+def test_count_bound_skips_the_matchings(monkeypatch):
+    # row h of a diagonal pattern with one zero has value at most
+    # 1 + h + 1 <= k for h <= k - 2; only the last group needs a matching
+    calls = []
+    real = supports._matching_size
+    monkeypatch.setattr(supports, "_matching_size",
+                        lambda adjacency, columns: calls.append(1) or real(adjacency, columns))
+    spec = SupportSpec(8, 6, [(i,) for i in range(1, 7)])
+    assert required_dimension(spec) == 6
+    assert len(calls) == 1
 
 
 def test_matching_at_the_row_bound():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cyclogab import ExactMatrix, SupportSpec, build_subcode, construct
 from cyclogab.certify import _distance_sweep
 from conftest import CONTEXTS
-from helpers import brute_hamming_distance, reference_distance_sweep
+from helpers import brute_hamming_distance, reference_distance_sweep, zeta
 from test_fastpath import false_zero, q_denominator
 
 
@@ -82,7 +82,7 @@ def false_zero_pair(ctx):
 def no_image(ctx):
     # no image in F_q: every subset is decided by the exact rank, in order
     one = ctx.one()
-    return [[one, q_denominator(ctx), one, ctx.zero()], [one, one, ctx.zeta(1), one]]
+    return [[one, q_denominator(ctx), one, ctx.zero()], [one, one, zeta(ctx, 1), one]]
 
 
 def test_same_exact_calls_as_reference(monkeypatch):
