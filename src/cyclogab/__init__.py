@@ -7,7 +7,7 @@ cross-validates the combinatorial feasibility condition against a polynomial
 determinant oracle.
 """
 
-from .cyclotomic import CycloElement, GaloisContext, Rational
+from .cyclotomic import CycloElement, GaloisContext
 from .linalg import ExactMatrix, bordered_minor_row
 from .supports import (CompletionError, SupportSpec, check_condition, complete_sets,
                        required_dimension)
@@ -30,7 +30,6 @@ __all__ = [
     "ExactMatrix",
     "GaloisContext",
     "OracleReport",
-    "Rational",
     "RetriesExhausted",
     "SparsePoly",
     "SubcodeResult",

@@ -31,9 +31,8 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(out_dir: Path, name: str, obj: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8") as fh:  # streamed: no chunk list
+def _write(path: Path, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: no chunk list
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -84,12 +83,13 @@ def _check_minors(args: argparse.Namespace, n: int, k: int, ell: int) -> bool:
 def _emit(out: Path | None, cert: Certificate, files: dict[str, dict]) -> int:
     """Write ``files`` and certificate.json under ``out`` when given, print
     the certificate, and exit 0 iff it passed."""
-    cert_obj = cert.to_obj()
+    text = _dump(cert.to_obj())  # one text for the file and stdout
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         for name, obj in files.items():
-            _write(out, name, obj)
-        _write(out, "certificate.json", cert_obj)
-    sys.stdout.write(_dump(cert_obj))
+            _write(out / name, obj)
+        (out / "certificate.json").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return 0 if cert.passed else 1
 
 

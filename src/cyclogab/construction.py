@@ -281,7 +281,7 @@ def _stored_equals(ctx: GaloisContext, stored: object, derived: ExactMatrix) -> 
     they differ, so an equal value spelled otherwise is still accepted, and
     malformed input raises the ValueError of ``ExactMatrix.from_obj``."""
     if isinstance(stored, dict) \
-            and stored.get("entries") == [e.to_strings() for e in derived.entries] \
+            and stored.get("entries") == derived.to_obj()["entries"] \
             and (_int_field(stored, "rows"), _int_field(stored, "cols")) \
             == (derived.rows, derived.cols):
         return True

@@ -40,11 +40,10 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .supports import _is_int
 
-Rational = Fraction  # canonical scalar type of the base field
 Scalar = Union[int, Fraction]
 
 # Largest accepted conductor.  One multiply takes (p-1)^2 integer products,
@@ -99,6 +98,20 @@ def _smallest_primitive_root(p: int) -> int:
     # g generates (Z/p)^* iff its powers reach all p - 1 residues; with p at
     # most MAX_CONDUCTOR this direct count is cheap.
     return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+
+
+@functools.cache
+def _aut_table(p: int, e: int) -> tuple[Callable[[tuple], tuple], int]:
+    """For the e-th power of zeta -> zeta^g (0 < e < p - 1): a getter that
+    reads, from numerators extended by a zero at index p - 1, the source of
+    each basis exponent t < p - 1, and the index whose exponent goes to p - 1.
+
+    Exponent i goes to g^e * i mod p, so t comes from t * g^-e mod p; the
+    one t whose source is p - 1 reads the zero.  Keyed by field constants
+    only, at most p - 2 tables for each p <= MAX_CONDUCTOR.
+    """
+    back = pow(_smallest_primitive_root(p), -e, p)
+    return operator.itemgetter(*[t * back % p for t in range(p - 1)]), (p - 1) * back % p
 
 
 class GaloisContext:
@@ -181,13 +194,21 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
     """The dot products rows[i] . cols[j], row-major, by Kronecker substitution.
 
     Each operand is scaled to its common denominator and each element packed
-    into one integer, numerator i at bit w*i.  The digit width w leaves room
-    for any sum of products, so a dot product is one sum of big-integer
-    products whose digits are the coefficients of the unreduced polynomial.
-    Those are unpacked once, as signed digits, and folded once by
-    zeta^(p-1) = -(1 + ... + zeta^(p-2)) (von zur Gathen and Gerhard, Modern
-    Computer Algebra, section 8.4).  Packing one product alone does not pay:
-    the unpack and the fold cost more than the schoolbook multiply they save.
+    into one integer, numerator i at bit w*i, so a dot product is one sum of
+    big-integer products whose w-bit digits are the 2p - 3 coefficients of
+    the unreduced polynomial (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8.4).  zeta^p = 1 is applied in packed form: an offset
+    of half a digit on each of the low p digits makes them non-negative, and
+    then the high digits are added onto the low ones with one mask and one
+    shift.  The p digits of that sum are unpacked, and zeta^(p-1) =
+    -(1 + ... + zeta^(p-2)) subtracts the last one from the others, which
+    also cancels the offset.
+
+    Every pair of basis exponents lands on exactly one of the p folded
+    digits, so a folded digit is a sum of at most inner * m products, the
+    same bound as an unfolded one: w bits hold it with its offset, and no
+    digit carries into the next.  Packing one product alone does not pay:
+    the unpack costs more than the schoolbook multiply it saves.
     """
     m, p = ctx.m, ctx.p
     den_l, lhs = _common_numerators(rows)
@@ -195,25 +216,25 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
     inner = len(rows[0]) if rows else 0
     top_l = max(map(abs, chain.from_iterable(nums for vec in lhs for nums in vec)), default=0)
     top_r = max(map(abs, chain.from_iterable(nums for vec in rhs for nums in vec)), default=0)
-    # each unreduced coefficient is a sum of at most inner * m products, so
-    # its magnitude is below 2^(width - 1), the range of a signed digit
+    # a folded coefficient is a sum of at most inner * m products, so its
+    # magnitude is below half = 2^(width - 1), and adding half keeps it in
+    # [0, 2^width): one digit, no carry
     width = (inner * m * top_l * top_r).bit_length() + 1
     packed_l = [[_pack(nums, width) for nums in vec] for vec in lhs]
     packed_r = [[_pack(nums, width) for nums in vec] for vec in rhs]
     half, mask = 1 << (width - 1), (1 << width) - 1
-    shifts = range(0, width * (2 * m - 1), width)
-    offset = sum(half << s for s in shifts)  # makes every digit non-negative
+    low = (1 << (width * p)) - 1
+    offset = sum(half << s for s in range(0, width * p, width))
+    shifts = range(0, width * m, width)
+    top = width * m
     den = den_l * den_r
     out = []
     for row in packed_l:
         for col in packed_r:
             acc = sum(map(operator.mul, row, col)) + offset
-            raw = [(acc >> s & mask) - half for s in shifts]
-            # as in __mul__: zeta^t = zeta^(t-p) for t >= p, and zeta^m is
-            # minus the basis sum
-            tail = raw[m]
-            out.append(_element(ctx, [lo + hi - tail for lo, hi in zip(raw, raw[p:] + [0, 0])],
-                                den))
+            acc = (acc & low) + (acc >> (width * p))  # zeta^(t+p) = zeta^t
+            tail = acc >> top  # the zeta^(p-1) digit, minus the basis sum
+            out.append(_element(ctx, [(acc >> s & mask) - tail for s in shifts], den))
     return out
 
 
@@ -341,20 +362,11 @@ class CycloElement:
         e %= ctx.m
         if e == 0:
             return self
-        shift = pow(ctx.g, e, ctx.p)
-        out = [0] * ctx.m
-        tail = 0  # accumulated coefficient of zeta^(p-1)
-        for i, c in enumerate(self.numerators):
-            if not c:
-                continue
-            t = (shift * i) % ctx.p
-            if t < ctx.m:
-                out[t] += c
-            else:
-                tail += c
-        if tail:
-            out = [v - tail for v in out]
-        return _element(ctx, out, self.denominator)
+        sources, tail_at = _aut_table(ctx.p, e)
+        nums = self.numerators
+        out = sources(nums + (0,))  # index m reads the zero of zeta^(p-1)
+        tail = nums[tail_at]  # sent to zeta^(p-1) = -(1 + ... + zeta^(p-2))
+        return _element(ctx, [v - tail for v in out] if tail else out, self.denominator)
 
     # -- predicates and views ---------------------------------------------
 
@@ -362,7 +374,7 @@ class CycloElement:
         """Image under zeta -> omega in F_q (q = ``ctx.modulus``), or None when
         q divides the denominator.  Nonzero proves self != 0."""
         q, powers = _splitting_prime(self.ctx.p)
-        acc = sum(c * w for c, w in zip(self.numerators, powers) if c)
+        acc = sum(map(operator.mul, self.numerators, powers))
         den = self.denominator
         return None if den % q == 0 else acc * pow(den, -1, q) % q
 

@@ -106,18 +106,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, point: Sequence[Union[int, Fraction]]) -> Union[int, Fraction]:
-        if len(point) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(point)}")
-        total: Union[int, Fraction] = 0
-        for mono, c in self.terms.items():
-            val = c
-            for x, e in zip(point, mono):
-                if e:
-                    val *= x ** e
-            total += val
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented

@@ -33,7 +33,7 @@ FqRows = list[list[int]]
 class ExactMatrix:
     """Immutable dense matrix over Q(zeta_p), entries stored row-major."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "cols", "entries", "_strings")
 
     def __init__(self, ctx: GaloisContext, rows: int, cols: int,
                  entries: Iterable[CycloElement]) -> None:
@@ -47,6 +47,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = es
+        self._strings: tuple[tuple[str, ...], ...] | None = None
 
     @classmethod
     def from_rows(cls, ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]]) -> ExactMatrix:
@@ -55,11 +56,6 @@ class ExactMatrix:
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(ctx, r, c, [e for row in rows for e in row])
-
-    @classmethod
-    def zeros(cls, ctx: GaloisContext, rows: int, cols: int) -> ExactMatrix:
-        zero = ctx.zero()
-        return cls(ctx, rows, cols, [zero] * (rows * cols))
 
     def __getitem__(self, key: tuple[int, int]) -> CycloElement:
         i, j = key
@@ -120,10 +116,15 @@ class ExactMatrix:
         return f"ExactMatrix(p={self.ctx.p}, {self.rows}x{self.cols})"
 
     def to_obj(self) -> dict:
+        """Fresh lists over the entries' ``to_strings``, which are built once
+        (as tuples, so no caller can change them) and reused by every call:
+        writing, comparing with a stored copy and hashing share one conversion."""
+        if self._strings is None:
+            self._strings = tuple([tuple(e.to_strings()) for e in self.entries])
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [e.to_strings() for e in self.entries],
+            "entries": [list(s) for s in self._strings],
         }
 
     @classmethod

@@ -57,12 +57,15 @@ class SupportSpec:
     zeros: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
-        zs = tuple([frozenset(int(c) for c in z) for z in zeros])
+        self._set(n, k, tuple([frozenset(map(int, z)) for z in zeros]))
+
+    def _set(self, n: int, k: int, zs: tuple[frozenset[int], ...]) -> None:
+        # check the shape, the row count and the column range, then fill the fields
         _check_shape(n, k)
         if len(zs) != k:
             raise ValueError(f"expected {k} zero sets, got {len(zs)}")
         for i, z in enumerate(zs, start=1):
-            if any(c < 1 or c > n for c in z):
+            if z and (min(z) < 1 or max(z) > n):
                 raise ValueError(f"row {i} has columns outside [1, {n}]")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "k", int(k))
@@ -78,9 +81,17 @@ class SupportSpec:
         if not isinstance(obj, dict):
             raise ValueError("a pattern must be a JSON object with keys n, k and zeros")
         n, k, zeros = _int_field(obj, "n"), _int_field(obj, "k"), obj.get("zeros")
-        if not _is_int_rows(zeros):
-            raise ValueError("pattern field 'zeros' must be a list of lists of integer columns")
-        return cls(n, k, zeros)
+        bad = "pattern field 'zeros' must be a list of lists of integer columns"
+        if not isinstance(zeros, list):
+            raise ValueError(bad)
+        zs = []
+        for row in zeros:  # one pass: each row is type-checked and becomes its set
+            if not _is_int_list(row):
+                raise ValueError(bad)
+            zs.append(frozenset(row))
+        spec = object.__new__(cls)
+        spec._set(n, k, tuple(zs))
+        return spec
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
@@ -103,10 +114,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_list(value) -> bool:
+    """True iff value is a list of integers; the common all-int case is one
+    set of types."""
+    return isinstance(value, list) and ({*map(type, value)} <= {int}
+                                        or all(map(_is_int, value)))
+
+
 def _is_int_rows(value) -> bool:
     """True iff value is a list of lists of integers."""
-    return isinstance(value, list) and all(
-        isinstance(row, list) and all(_is_int(v) for v in row) for row in value)
+    return isinstance(value, list) and all(map(_is_int_list, value))
 
 
 def _int_field(obj: dict, key: str) -> int:

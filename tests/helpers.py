@@ -1,6 +1,7 @@
 """Independent oracles used to cross-check the library from a second route."""
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -91,6 +92,31 @@ class FractionElement:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
+def reference_aut(elem, e: int) -> tuple[tuple[int, ...], int]:
+    """Numerators and denominator, in lowest terms, of the image under
+    zeta -> zeta^(g^e), by the defining loop: each basis exponent i goes to
+    g^e * i mod p, and the coefficient landing on zeta^(p-1) is subtracted
+    from all the others."""
+    ctx = elem.ctx
+    e %= ctx.m
+    if e == 0:
+        return elem.numerators, elem.denominator
+    shift = pow(ctx.g, e, ctx.p)
+    out = [0] * ctx.m
+    tail = 0  # accumulated coefficient of zeta^(p-1)
+    for i, c in enumerate(elem.numerators):
+        if not c:
+            continue
+        t = (shift * i) % ctx.p
+        if t < ctx.m:
+            out[t] += c
+        else:
+            tail += c
+    out = [v - tail for v in out]
+    g = math.gcd(elem.denominator, *out)
+    return tuple(v // g for v in out), elem.denominator // g
+
+
 def zeta(ctx, power: int = 1):
     """zeta^power in the power basis; zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
     t = power % ctx.p
@@ -102,6 +128,11 @@ def identity(ctx, n: int) -> ExactMatrix:
     return ExactMatrix(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
 
+def zero_matrix(ctx, rows: int, cols: int) -> ExactMatrix:
+    zero = ctx.zero()
+    return ExactMatrix(ctx, rows, cols, [zero] * (rows * cols))
+
+
 def transpose(matrix: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(matrix.ctx, matrix.cols, matrix.rows,
                        [matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)])
@@ -110,6 +141,20 @@ def transpose(matrix: ExactMatrix) -> ExactMatrix:
 def total_degree(poly) -> int:
     """Largest monomial degree of a SparsePoly; -1 for the zero polynomial."""
     return max((sum(m) for m in poly.terms), default=-1)
+
+
+def evaluate(poly, point):
+    """Value of a SparsePoly at a point with one value per variable."""
+    if len(point) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} values, got {len(point)}")
+    total = 0
+    for mono, c in poly.terms.items():
+        val = c
+        for x, e in zip(point, mono):
+            if e:
+                val *= x ** e
+        total += val
+    return total
 
 
 def perm_sign(perm) -> int:

@@ -12,7 +12,7 @@ from cyclogab import (Certificate, ConstructionResult, EvaluationPoints, ExactMa
 from cyclogab.certify import _distance_sweep
 from cyclogab.cli import main
 from conftest import CONTEXTS
-from helpers import brute_hamming_distance, identity, zeta
+from helpers import brute_hamming_distance, identity, zero_matrix, zeta
 
 STAIRCASE = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
 
@@ -50,7 +50,7 @@ def test_hamming_distance_single_row(ctx5):
 
 def test_hamming_distance_requires_full_rank(ctx5):
     with pytest.raises(ValueError):
-        hamming_distance(ExactMatrix.zeros(ctx5, 2, 3))
+        hamming_distance(zero_matrix(ctx5, 2, 3))
 
 
 def test_hamming_distance_budget(ctx11):
@@ -144,6 +144,19 @@ def test_certificate_consistency_and_round_trip(ctx11):
         assert cert.claimed_rank_distance <= cert.hamming_distance
     obj = cert.to_obj()
     assert obj["passed"] is True
+
+
+def test_written_matrices_share_no_mutable_state(ctx11):
+    result = construct(STAIRCASE, ctx11, 1200, seed=1)
+    generator = result.generator
+    digest = certify_mrd(result).matrix_sha256
+    first = generator.to_obj()
+    first["entries"][0][0] = "7/1"
+    first["entries"].append(["1/1"] * ctx11.m)
+    result.to_obj()["generator"]["entries"][1].clear()
+    assert generator.to_obj() == ConstructionResult.from_obj(result.to_obj()).generator.to_obj()
+    assert generator.to_obj()["entries"] == [e.to_strings() for e in generator.entries]
+    assert certify_mrd(result).matrix_sha256 == digest
 
 
 def test_certification_is_reproducible(ctx11):

@@ -182,6 +182,10 @@ def test_certify_accepts_equal_value_spelled_otherwise(capsys, good_spec, tmp_pa
         return obj
     code, out, _ = run(capsys, ["certify", _edited_result(capsys, good_spec, tmp_path, respell)])
     assert code == 0 and json.loads(out)["passed"]
+    # the digest is taken over the derived generator's strings, never the stored ones
+    _, canonical, _ = run(capsys, ["certify", _edited_result(capsys, good_spec, tmp_path,
+                                                             lambda obj: obj)])
+    assert out == canonical
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,6 +424,21 @@ def test_construct_epsilon_and_size_exclusive(capsys, good_spec):
         main(["construct", "--prime", "7", "--zeros", good_spec,
               "--epsilon", "0.01", "--s-size", "10"])
     assert exc.value.code == 2
+
+
+def test_certificate_file_is_the_printed_text(capsys, good_spec, bad_spec, tmp_path):
+    runs = {
+        "construct": ["construct", "--prime", "7", "--zeros", good_spec, "--s-size", "200",
+                      "--seed", "1"],
+        "subcode": ["subcode", "--prime", "5", "--zeros", bad_spec, "--s-size", "500",
+                    "--seed", "3"],
+        "certify": ["certify", str(tmp_path / "construct" / "result.json")],
+    }
+    for name, argv in runs.items():
+        out_dir = tmp_path / name
+        code, out, _ = run(capsys, argv + ["--out", str(out_dir)])
+        assert code == 0
+        assert (out_dir / "certificate.json").read_bytes() == out.encode("utf-8")
 
 
 def test_certify_round_trips_stored_result(capsys, good_spec, tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclogab import CycloElement, GaloisContext
+from cyclogab.cyclotomic import dot_products
 from conftest import CONTEXTS, elements, small_rationals
-from helpers import FractionElement, close, embed, zeta
+from helpers import FractionElement, close, embed, reference_aut, zeta
 
 
 def brute_smallest_primitive_root(p):
@@ -277,3 +278,77 @@ def test_from_strings_matches_fraction_parse(data):
         assert not errors and len(items) == ctx.m
         assert got == ctx.element(want)
         assert got.coeffs == tuple(want)
+
+
+AUT_CONTEXTS = {p: CONTEXTS.get(p) or GaloisContext(p) for p in (3, 5, 7, 11, 13, 31, 257)}
+
+
+def aut_elements(ctx):
+    """Zero, and elements with small, negative, huge or non-integral
+    coefficients (numerators over one drawn denominator)."""
+    num = st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200),
+                    st.sampled_from([-2 ** 300, 2 ** 300 - 1]))
+    den = st.one_of(st.just(1), st.integers(1, 10 ** 6))
+    coeffs = st.builds(lambda nums, d: [Fraction(v, d) for v in nums],
+                       st.lists(num, min_size=ctx.m, max_size=ctx.m), den)
+    return st.one_of(st.just(ctx.zero()), coeffs.map(ctx.element))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_aut_matches_reference_loop(data):
+    ctx = AUT_CONTEXTS[data.draw(st.sampled_from(sorted(AUT_CONTEXTS)))]
+    x = data.draw(aut_elements(ctx))
+    for e in range(-ctx.m, 2 * ctx.m + 1):
+        got = x.aut(e)
+        assert (got.numerators, got.denominator) == reference_aut(x, e)
+    assert_canonical(x.aut(1))
+
+
+def schoolbook_dot(row, col):
+    total = row[0].ctx.zero()
+    for a, b in zip(row, col, strict=True):
+        total = total + a * b
+    return total
+
+
+def assert_dot_products_match(ctx, rows, cols):
+    got = dot_products(ctx, rows, cols)
+    want = [schoolbook_dot(r, c) for r in rows for c in cols]
+    assert got == want
+    for x in got:
+        assert_canonical(x)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_dot_products_match_schoolbook(data):
+    ctx = CONTEXTS[data.draw(st.sampled_from([3, 5, 7, 13]))]
+    inner = data.draw(st.integers(1, 3))
+    entry = aut_elements(ctx)
+    vectors = st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=1, max_size=3)
+    assert_dot_products_match(ctx, data.draw(vectors), data.draw(vectors))
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+@pytest.mark.parametrize("inner", [1, 4])
+@pytest.mark.parametrize("top", [2 ** 70, 2 ** 70 - 1, 1])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_dot_products_at_the_width_bound(p, inner, top, signs):
+    # every coefficient at the largest magnitude and of one sign: the folded
+    # coefficient of zeta^(p-2) collects inner * m products, the bound the
+    # digit width is sized for; with top = 1 and inner * m a power of two
+    # that bound is just below a power of two, where a digit one bit
+    # narrower overflows
+    ctx = CONTEXTS[p]
+    lhs = [[ctx.element([signs[0] * top] * ctx.m)] * inner] * 2
+    rhs = [[ctx.element([signs[1] * (2 ** 70 - 1)] * ctx.m)] * inner]
+    assert_dot_products_match(ctx, lhs, rhs)
+
+
+def test_dot_products_with_denominators():
+    ctx = CONTEXTS[7]
+    a = ctx.element([Fraction(1, 2), Fraction(-3, 4), 0, 5, Fraction(7, 9), -1])
+    b = ctx.element([Fraction(2, 3), 1, Fraction(-1, 6), 0, 0, Fraction(5, 2)])
+    assert_dot_products_match(ctx, [[a, b], [b, a]], [[b, ctx.one()], [a, a]])
+    assert dot_products(ctx, [[a]], [[a.inverse()]]) == [ctx.one()]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cyclogab import (SparsePoly, SupportSpec, check_condition, det_is_nonzero, gmmds,
                       oracle_report, support_polynomial_matrix, sweep_agreement,
                       symbolic_det)
-from helpers import cofactor_det, total_degree
+from helpers import cofactor_det, evaluate, total_degree
 
 
 def lift(poly, extra=1):
@@ -24,7 +24,7 @@ def test_sparse_poly_arithmetic():
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert total_degree(p) == 2
-    assert p.evaluate([Fraction(3), Fraction(2)]) == 5
+    assert evaluate(p, [Fraction(3), Fraction(2)]) == 5
     assert (p - p).is_zero
     assert total_degree(SparsePoly.zero(2)) == -1
     with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ def test_rows_encode_root_products_numerically(data):
              for _ in range(spec.n)]
     x = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
     for row_poly, zeros in zip(mat, spec.zeros):
-        lhs = sum(c.evaluate(point) * x ** d for d, c in enumerate(row_poly))
+        lhs = sum(evaluate(c, point) * x ** d for d, c in enumerate(row_poly))
         rhs = 1
         for t in zeros:
             rhs *= x - point[t - 1]
@@ -119,7 +119,7 @@ def test_randomized_witness_certifies_nonzero():
     nonzero, witness = det_is_nonzero(spec, mode="randomized", seed=5)
     assert nonzero and witness is not None
     det = symbolic_det(support_polynomial_matrix(spec))
-    assert det.evaluate(list(witness)) != 0
+    assert evaluate(det, list(witness)) != 0
 
 
 def test_oracle_report_round_trip():
@@ -176,7 +176,7 @@ def exact_first_nonzero(spec, seed):
     rng = random.Random(seed)
     for _ in range(gmmds.RANDOM_TRIALS):
         point = tuple([rng.randrange(size) for _ in range(spec.n)])
-        det = cofactor_det([[entry.evaluate(point) for entry in row] for row in matrix], 1)
+        det = cofactor_det([[evaluate(entry, point) for entry in row] for row in matrix], 1)
         if det:
             return point, det
     return None, 0

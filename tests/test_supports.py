@@ -255,3 +255,35 @@ def test_spec_json_round_trip():
     obj = spec.to_obj()
     assert obj == {"n": 6, "k": 3, "zeros": [[1, 2], [3], []]}
     assert SupportSpec.from_obj(json.loads(json.dumps(obj))) == spec
+
+
+ZEROS_TYPE = "pattern field 'zeros' must be a list of lists of integer columns"
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 4, "k": 2, "zeros": 5}, ZEROS_TYPE),
+    ({"n": 4, "k": 2}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[1], [True]]}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[1], [2.0]]}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[1], [[2]]]}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[1], "2"]}, ZEROS_TYPE),
+    # the column types are checked before the shape, the row count and the range
+    ({"n": 1, "k": 2, "zeros": [[1], ["2"]]}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[9], [{}]]}, ZEROS_TYPE),
+    ({"n": 1, "k": 2, "zeros": [[9]]}, "need 1 <= k <= n, got k=2, n=1"),
+    ({"n": 4, "k": 2, "zeros": [[9]]}, "expected 2 zero sets, got 1"),
+    ({"n": 4, "k": 2, "zeros": [[1, 4], [0]]}, "row 2 has columns outside [1, 4]"),
+    ({"n": 4, "k": 2, "zeros": [[5], [0]]}, "row 1 has columns outside [1, 4]"),
+])
+def test_spec_from_obj_messages(obj, message):
+    with pytest.raises(ValueError) as exc:
+        SupportSpec.from_obj(obj)
+    assert str(exc.value) == message
+
+
+@given(random_specs())
+def test_spec_from_obj_equals_constructor(spec):
+    obj = {"n": spec.n, "k": spec.k, "zeros": [sorted(z) + sorted(z)[:1] for z in spec.zeros]}
+    loaded = SupportSpec.from_obj(obj)
+    assert loaded == spec == SupportSpec(obj["n"], obj["k"], obj["zeros"])
+    assert all(type(c) is int for z in loaded.zeros for c in z)
