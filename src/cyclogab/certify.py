@@ -9,11 +9,12 @@ Gabidulin codes over cyclic extensions.  The Hamming distance, which the
 claim forces to be maximal as well, IS measured exactly through a sweep of
 column-subset ranks, giving a falsifiable consequence for every claim.
 
-Every nonzero or full-rank verdict (det T, point independence, each minor of
-the sweep) is proved either by a nonzero image in F_q under zeta -> omega or
-by the exact computation; an image of zero is always decided again exactly,
+Every full-rank verdict over Q(zeta_p) (T, each minor of the sweep) is
+proved either by an image of full rank in F_q under zeta -> omega or by the
+exact ``ExactMatrix.rank``; any other image is always decided again exactly,
 so verdicts, ``checked_minors`` and the certificate bytes do not depend on
-the fast path.  q depends only on p and is not recorded.
+the fast path.  q depends only on p and is not recorded.  Point
+independence is the exact rank over Z of the points' integer coordinates.
 
 The sweep reduces G to F_q once and walks the column subsets depth-first, so
 subsets sharing a prefix share its reduction and each subset of a
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .construction import ConstructionResult, construct, is_independent
-from .linalg import ExactMatrix, fq_image, is_invertible, proves_full_row_rank
+from .linalg import ExactMatrix, fq_image
 from .cyclotomic import GaloisContext
 from .supports import SupportSpec, check_condition, required_dimension
 
@@ -123,14 +124,14 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     (a whole s-subset) only when its image has rank below k, and decides
     that subset by the exact rank.  A matrix with no image gets zero
     columns, which never raise the rank, so all its subsets reach the leaf.
-    So verdicts, exact calls and the count, budget error included, are
-    those of one F_q elimination per subset.
+    A rank-deficient matrix ends every size at its first leaf, so it is
+    refused after n - k + 1 exact ranks (or by the budget, if that is
+    smaller).  Otherwise verdicts, exact calls and the count, budget error
+    included, are those of one F_q elimination per subset.
     """
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
     image = fq_image(matrix)
-    if not proves_full_row_rank(image, q) and matrix.rank() < k:
-        raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
     columns = list(zip(*image)) if image is not None else [(0,) * k] * n
     checks = 0
 
@@ -167,7 +168,7 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     for s in range(k, n + 1):
         if full_at(s):
             return n - s + 1, checks
-    raise AssertionError("unreachable: a full-rank matrix has full rank at s = n")
+    raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
 
 
 def hamming_distance(matrix: ExactMatrix, max_checks: int = DEFAULT_MAX_CHECKS) -> int:
@@ -180,7 +181,7 @@ def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSp
     """Check the three premises exactly and claim ``distance`` under ``basis``;
     with ``check_minors`` the measured Hamming distance must equal it."""
     support_ok = verify_support(generator, spec)
-    t_invertible = is_invertible(result.transform)
+    t_invertible = result.transform.rank() == result.transform.rows
     points_independent = is_independent(result.points.elements)
 
     hamming: int | None = None

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .cyclotomic import CycloElement, GaloisContext, _element
-from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row, is_invertible
+from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row
 from .supports import (SupportSpec, _check_shape, _int_field, _is_int_rows, check_condition,
                        complete_sets)
 
@@ -313,7 +313,7 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
         t_rows = [bordered_minor_row(ctx, [pts.elements[c - 1] for c in cols])
                   for cols in col_sets]
         transform = ExactMatrix.from_rows(ctx, t_rows)
-        if is_invertible(transform) and is_independent(pts.elements):
+        if transform.rank() == spec.k and is_independent(pts.elements):
             return ConstructionResult(
                 spec=spec,
                 completed=completed,

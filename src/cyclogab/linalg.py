@@ -13,11 +13,11 @@ coefficient size.
 The transform rows (maximal minors of a Moore block) take no determinant:
 ``bordered_minor_row`` builds them by condensation in O(k^2) field products.
 
-Full-rank tests go through F_q first (see ``cyclotomic``): ``fq_image``
-reduces a matrix once under zeta -> omega, and ``proves_full_row_rank``
-eliminates over F_q.  Full rank of the image proves full row rank of the
-exact matrix, because some maximal minor then has a nonzero image.  Any
-other outcome only means "unknown", and the caller decides exactly.
+``ExactMatrix.rank`` is the one full-rank decision.  It reduces the matrix
+under zeta -> omega (``fq_image``, see ``cyclotomic``) and eliminates over
+F_q first: an image of rank min(rows, cols) proves that rank, because some
+maximal minor then has a nonzero image.  Any other outcome only means
+"unknown", and the exact elimination over Q(zeta_p) decides.
 """
 
 from __future__ import annotations
@@ -100,7 +100,12 @@ class ExactMatrix:
         return last if rank == self.rows else self.ctx.zero()
 
     def rank(self) -> int:
-        """Exact rank."""
+        """Exact rank; full rank is proved in F_q when the image has it."""
+        image = fq_image(self)
+        if image is not None:
+            full = min(self.rows, self.cols)
+            if _eliminate(image, _mod_reducer(self.ctx.modulus))[0] == full:
+                return full
         return _eliminate(self.row_lists(), _field_quotient)[0]
 
     def __eq__(self, other: object) -> bool:
@@ -202,22 +207,6 @@ def fq_image(matrix: ExactMatrix) -> FqRows | None:
             return None
         rows.append(row)
     return rows
-
-
-def proves_full_row_rank(image: FqRows | None, q: int) -> bool:
-    """True when the F_q image has full row rank: a proof that the exact
-    matrix has full row rank.  False means unknown, never rank-deficient."""
-    if image is None:
-        return False
-    return _eliminate(image, _mod_reducer(q))[0] == len(image)
-
-
-def is_invertible(matrix: ExactMatrix) -> bool:
-    """Exact invertibility of a square matrix: a nonzero determinant mod q
-    proves it, anything else is decided by the exact determinant."""
-    if matrix.rows != matrix.cols:
-        raise ValueError(f"invertibility needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    return proves_full_row_rank(fq_image(matrix), matrix.ctx.modulus) or bool(matrix.det())
 
 
 def bordered_minor_row(ctx: GaloisContext,

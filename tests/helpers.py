@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from cyclogab import CompletionError, ExactMatrix, SupportSpec, check_condition
-from cyclogab.linalg import fq_image, proves_full_row_rank
+from cyclogab.linalg import _eliminate, _mod_reducer, fq_image
 
 
 def embed(elem, power: int = 1) -> complex:
@@ -333,16 +333,33 @@ def brute_hamming_distance(matrix: ExactMatrix) -> int:
     return n - widest
 
 
+def proves_full_row_rank(image, q: int) -> bool:
+    """True when an F_q image has full row rank: a proof that the exact
+    matrix has full row rank.  False means unknown, never rank-deficient."""
+    if image is None:
+        return False
+    return _eliminate(image, _mod_reducer(q))[0] == len(image)
+
+
+def refuse_rank_deficient(matrix: ExactMatrix) -> None:
+    """The reference sweep's check before any subset: an F_q proof of full
+    row rank, else one exact rank, which must reach k."""
+    if not proves_full_row_rank(fq_image(matrix), matrix.ctx.modulus) \
+            and matrix.rank() < matrix.rows:
+        raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
+
+
 def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     """(distance, checks) of ``certify._distance_sweep`` by one F_q elimination
     per column subset: each size s visits its subsets in combinations order
     and stops at the first one whose image does not prove full rank and whose
-    exact rank is below k; the budget error fires at subset max_checks + 1."""
+    exact rank is below k; the budget error fires at subset max_checks + 1.
+    A rank-deficient matrix is refused first (``refuse_rank_deficient``), so
+    here the budget error never hides that refusal."""
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
+    refuse_rank_deficient(matrix)
     image = fq_image(matrix)
-    if not proves_full_row_rank(image, q) and matrix.rank() < k:
-        raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
     checks = 0
     for s in range(k, n + 1):
         for cols in combinations(range(n), s):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ConstructionResult, cli, supports
+from cyclogab import ConstructionResult, ExactMatrix, cli, supports
 from cyclogab.cli import main
 
 
@@ -388,6 +389,26 @@ def test_certify_rejects_tampered_result(capsys, good_spec, tmp_path):
     code, _, err = run(capsys, ["certify", str(tampered)])
     assert code == 2
     assert "transform @ moore" in err
+
+
+def test_certify_singular_transform_fails(capsys, tmp_path):
+    # a stored result whose transform has two equal rows loads (G is derived
+    # from it) but fails its certificate
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["construct", "--prime", "13", "--n", "7", "--k", "3",
+                              "--epsilon", "0.01", "--seed", "5", "--out", str(out_dir)])
+    assert code == 0
+    obj = json.loads((out_dir / "result.json").read_text())
+    result = ConstructionResult.from_obj(obj)
+    rows = result.transform.row_lists()
+    rows[1] = rows[0]
+    singular = dataclasses.replace(result, transform=ExactMatrix.from_rows(result.moore.ctx, rows))
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({**singular.to_obj(), "epsilon": obj["epsilon"]}), encoding="utf-8")
+    code, out, _ = run(capsys, ["certify", str(path)])
+    assert code == 1
+    assert '"t_invertible": false' in out
+    assert json.loads(out)["passed"] is False
 
 
 def test_construct_byte_identical_reruns(capsys, good_spec, tmp_path):

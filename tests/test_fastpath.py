@@ -1,17 +1,19 @@
 """The F_q nonzero proofs: ring map, false zeros, unreducible entries, and
-agreement of the fast and exact routes."""
+agreement of the fast and exact routes, ``ExactMatrix.rank`` included."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ExactMatrix, GaloisContext, is_independent, moore_matrix, sample_points
+from cyclogab import (ExactMatrix, GaloisContext, is_independent, linalg, moore_matrix,
+                      sample_points)
 from cyclogab.certify import _distance_sweep, hamming_distance
-from cyclogab.linalg import fq_image, is_invertible, proves_full_row_rank
+from cyclogab.linalg import fq_image
 from conftest import CONTEXTS, elements
-from helpers import brute_hamming_distance, coordinate_rank, zeta
+from helpers import (brute_hamming_distance, coordinate_rank, gaussian_rank,
+                     proves_full_row_rank, transpose, zeta)
 
 
 def omega(ctx):
@@ -64,9 +66,9 @@ def test_false_zero_goes_to_exact_fallback(ctx5):
     m = ExactMatrix.from_rows(ctx5, [[x, one], [zero, one]])
     assert fq_image(m)[0][0] == 0
     assert not proves_full_row_rank(fq_image(m), ctx5.modulus)
-    assert is_invertible(m)
+    assert m.rank() == 2
     singular = ExactMatrix.from_rows(ctx5, [[x, x], [one, one]])
-    assert not is_invertible(singular)
+    assert singular.rank() == 1
 
 
 def test_false_zero_in_the_sweep(ctx5):
@@ -88,8 +90,8 @@ def test_denominator_divisible_by_q_goes_to_exact_path(ctx5):
     m = ExactMatrix.from_rows(ctx5, [[e, one], [one, one]])
     assert fq_image(m) is None
     assert not proves_full_row_rank(None, ctx5.modulus)
-    assert is_invertible(m)
-    assert not is_invertible(ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]))
+    assert m.rank() == 2
+    assert ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]).rank() == 1
     g = ExactMatrix.from_rows(ctx5, [[e, one, one], [one, one, e]])
     assert hamming_distance(g) == brute_hamming_distance(g)
 
@@ -106,11 +108,50 @@ def test_independence_fallbacks(ctx5):
 
 
 def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
+    # an image of full rank is the proof: no elimination over Q(zeta_p) runs
     pts = sample_points(ctx11, 5, 1000, seed=2).elements
     m = moore_matrix(pts, 5)
-    monkeypatch.setattr(ExactMatrix, "det", lambda self: pytest.fail("exact det called"))
-    assert is_invertible(m)
+    monkeypatch.setattr(linalg, "_field_quotient",
+                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
+    assert m.rank() == 5
+    wide = ExactMatrix(ctx11, 3, 5, m.entries[:15])
+    assert wide.rank() == 3 and transpose(wide).rank() == 3
     assert is_independent(pts)
+
+
+@st.composite
+def rank_matrices(draw):
+    """r x c matrices, r and c in 0..4, with a false zero mod q, an entry
+    with no image in F_q, and planted dependent rows and columns."""
+    ctx = CONTEXTS[draw(st.sampled_from([5, 7]))]
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    small = st.lists(st.integers(min_value=-2, max_value=2), min_size=ctx.m, max_size=ctx.m)
+    rows = [[ctx.element(draw(small)) for _ in range(c)] for _ in range(r)]
+    if r and c and draw(st.booleans()):  # planted first, so copies carry them
+        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = false_zero(ctx)
+    if r and c and draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = q_denominator(ctx)
+    if r >= 2 and draw(st.booleans()):  # a row that is a multiple of another
+        a, b = draw(st.permutations(range(r)))[:2]
+        factor = ctx.element(draw(small))
+        rows[b] = [x * factor for x in rows[a]]
+    if c >= 3 and draw(st.booleans()):  # a column that is a sum of two others
+        a, b, t = draw(st.permutations(range(c)))[:3]
+        for row in rows:
+            row[t] = row[a] + row[b] * 2
+    return ExactMatrix(ctx, r, c, [e for row in rows for e in row])
+
+
+@given(rank_matrices())
+@example(ExactMatrix(CONTEXTS[5], 0, 3, []))
+@example(ExactMatrix(CONTEXTS[5], 1, 1, [CONTEXTS[5].zero()]))
+@example(ExactMatrix(CONTEXTS[5], 1, 1, [false_zero(CONTEXTS[5])]))
+@example(ExactMatrix(CONTEXTS[5], 1, 1, [q_denominator(CONTEXTS[5])]))
+@settings(max_examples=80, deadline=None)
+def test_rank_matches_gaussian_elimination(matrix):
+    want = gaussian_rank(matrix.row_lists())
+    assert matrix.rank() == want
+    assert transpose(matrix).rank() == want
 
 
 @given(st.data())

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ExactMatrix, SupportSpec, build_subcode, construct
+from cyclogab import ExactMatrix, SupportSpec, build_subcode, construct, hamming_distance
 from cyclogab.certify import _distance_sweep
 from conftest import CONTEXTS
-from helpers import brute_hamming_distance, reference_distance_sweep, zeta
+from helpers import (brute_hamming_distance, reference_distance_sweep, refuse_rank_deficient,
+                     zeta)
 from test_fastpath import false_zero, q_denominator
 
 
@@ -86,11 +87,49 @@ def no_image(ctx):
 
 
 def test_same_exact_calls_as_reference(monkeypatch):
-    for rows in (false_zero_pair, no_image):
+    # the reference refuses a deficient matrix before any subset, which may
+    # take one exact rank; the sweep has no such step, only the leaf calls
+    check = lambda matrix, max_checks: refuse_rank_deficient(matrix)
+    for rows, before in ((false_zero_pair, 0), (no_image, 1)):
         g = ExactMatrix.from_rows(CONTEXTS[5], rows(CONTEXTS[5]))
+        assert exact_rank_calls(monkeypatch, check, g)[1] == before
         new = exact_rank_calls(monkeypatch, _distance_sweep, g)
-        assert new == exact_rank_calls(monkeypatch, reference_distance_sweep, g)
+        ref = exact_rank_calls(monkeypatch, reference_distance_sweep, g)
+        assert new == (ref[0], ref[1] - before)
         assert new[1] > 0
+
+
+RANK_DEFICIENT = "matrix is rank-deficient; its rows do not generate a k-dimensional code"
+
+
+def rank_deficient_matrices(ctx):
+    one, zero, z = ctx.one(), ctx.zero(), zeta(ctx, 1)
+    row = [one, z, zero, one + z]
+    return {
+        "all zero": [[zero] * 4] * 2,
+        "repeated row": [row, [one] * 4, row],
+        "repeated row with no image": [[q_denominator(ctx), one, z, one]] * 2,
+        "k > n": [[one, z], [z, one], [one, one]],
+    }
+
+
+@pytest.mark.parametrize("name", list(rank_deficient_matrices(CONTEXTS[5])))
+def test_rank_deficient_matrix_refused(monkeypatch, name):
+    # every size ends at its first subset, decided deficient by the exact
+    # rank, so the refusal comes after n - k + 1 checks, or the budget's first
+    g = ExactMatrix.from_rows(CONTEXTS[5], rank_deficient_matrices(CONTEXTS[5])[name])
+    with pytest.raises(ValueError) as exc:
+        hamming_distance(g)
+    assert str(exc.value) == RANK_DEFICIENT
+    leaves = max(g.cols - g.rows + 1, 0)
+    refused = lambda matrix, max_checks: outcome(_distance_sweep, matrix, max_checks)
+    assert exact_rank_calls(monkeypatch, refused, g) == (RANK_DEFICIENT, leaves)
+    for budget in range(leaves):
+        with pytest.raises(ValueError, match=f"column-subset budget {budget} exceeded"):
+            hamming_distance(g, max_checks=budget)
+    with pytest.raises(ValueError) as exc:
+        hamming_distance(g, max_checks=leaves)
+    assert str(exc.value) == RANK_DEFICIENT
 
 
 def test_proved_image_needs_no_exact_rank(monkeypatch):
