@@ -10,13 +10,14 @@ compares the observed failure fraction against the theoretical bound
 """
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from cyclogab import (GaloisContext, RetriesExhausted, SupportSpec, construct,
                       required_sample_size)
+from cyclogab.cli import _read_json
+from cyclogab.supports import MAX_ROWS
 
 
 def single_draw_fails(task: tuple) -> bool:
@@ -63,8 +64,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(args: argparse.Namespace) -> int:
     if args.zeros:
-        with open(args.zeros, "r", encoding="utf-8") as fh:
-            spec = SupportSpec.from_obj(json.load(fh))
+        spec = SupportSpec.from_obj(_read_json(args.zeros))
+    elif args.k > MAX_ROWS:  # refused before the k empty rows are built, as in the CLI
+        raise ValueError(f"row count {args.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
     else:
         spec = SupportSpec(args.n, args.k, [()] * args.k)
     if args.s_size is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import math
 import sys
@@ -144,6 +143,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.sweep:
+        if args.zeros is not None:
+            raise ValueError("--sweep takes no --zeros FILE: "
+                             "it enumerates every pattern of --n/--k")
         n = 4 if args.n is None else args.n
         k = 3 if args.k is None else args.k
         table = sweep_agreement(n=n, k=k, mode=args.mode, seed=args.seed)
@@ -247,26 +249,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        args = _build_parser().parse_args(argv)
-        try:
-            return args.func(args)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except RetriesExhausted as exc:
-            print(f"construction failed: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        # A call leaves reference cycles (json's indent encoder).  Integer
-        # field arithmetic allocates too little to trigger young collections
-        # often, so free them here before they reach the oldest generation
-        # and pile up across in-process calls.  This also postpones the full
-        # collections that empty CPython's free lists, so hot code builds
-        # tuples from lists (tuple([...]), f(*[...])): tuple(<generator>)
-        # takes ten slots and shrinks, which fills the small-tuple free lists
-        # without drawing from them.
-        gc.collect(1)
+        return args.func(args)
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RetriesExhausted as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

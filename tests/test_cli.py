@@ -166,6 +166,14 @@ def _edited_result(capsys, good_spec, tmp_path, mutate):
     # 3.0 == 3 in Python: the stored shape is checked as an integer, not by value
     (_set(["moore", "rows"], 3.0), "field 'rows' must be an integer, got 3.0"),
     (_set(["generator", "cols"], 4.0), "field 'cols' must be an integer, got 4.0"),
+    (lambda obj: _set(["points", "coords"], obj["points"]["coords"][:-1])(obj),
+     "inconsistent shapes in construction result"),
+    (_set(["completed_zeros"], [[], []]),
+     "completed pattern must extend the input to k-1 zeros per row"),
+    (_set(["points"], 5),
+     "points must be a JSON object with keys coords, sample_set_size and seed"),
+    (_set(["transform", "entries"], 5), "matrix entries must be a list"),
+    (_set(["context"], 5), "a context must be a JSON object with key p"),
 ])
 def test_certify_refuses_malformed_stored_fields(capsys, good_spec, tmp_path, mutate, reason):
     path = _edited_result(capsys, good_spec, tmp_path, mutate)
@@ -245,11 +253,34 @@ def test_oracle_rejects_large_n(capsys, tmp_path, mode):
     # one family of one (k-1)-subset passes the family guard, so n is
     # bounded first: the sweep would otherwise build all n columns
     (["oracle", "--sweep", "--n", "2000", "--k", "2001"], "MAX_ORACLE_N"),
+    (["oracle", "--sweep", "--n", "8", "--k", "4"],
+     "sweep of 9834496 families is above the guard"),
 ])
 def test_huge_flag_sizes_refused(capsys, argv, reason):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert reason in err
+
+
+@pytest.mark.parametrize("with_file, flags, reason", [
+    (True, ["--k", "4"], "--k 4 does not match the pattern file (k=3)"),
+    (False, ["--n", "5"], "provide --zeros FILE, or both --n and --k for an empty pattern"),
+])
+def test_check_refuses_conflicting_or_missing_shape(capsys, tmp_path, with_file, flags, reason):
+    path = write_spec(tmp_path / "k3.json", {"n": 6, "k": 3, "zeros": [[1], [2], [3]]})
+    zeros = ["--zeros", path] if with_file else []
+    code, out, err = run(capsys, ["check"] + zeros + flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {reason}\n"
+
+
+def test_oracle_sweep_refuses_a_pattern_file(capsys, tmp_path):
+    # the sweep enumerates every family of --n/--k, so a pattern file would
+    # be silently ignored
+    path = write_spec(tmp_path / "p.json", {"n": 6, "k": 3, "zeros": [[1, 2], [3, 4], [5, 6]]})
+    code, out, err = run(capsys, ["oracle", "--sweep", "--zeros", path])
+    assert code == 2 and out == ""
+    assert err == "error: --sweep takes no --zeros FILE: it enumerates every pattern of --n/--k\n"
 
 
 def test_check_missing_file(capsys):
@@ -294,17 +325,29 @@ def test_deeply_nested_json_refused(capsys, tmp_path, command):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
-def test_main_frees_its_reference_cycles(capsys):
-    # json's indent encoder is cyclic; main frees it itself, so repeated
-    # in-process calls do not pile it up
+def test_repeated_calls_leave_nothing_behind(capsys, good_spec, tmp_path):
+    # json's indent encoder leaves reference cycles on every call; the
+    # ordinary collector frees them, so in-process calls hold no memory
+    out = tmp_path / "run"
+    calls = [
+        ["check", "--n", "5", "--k", "3"],
+        ["construct", "--prime", "7", "--zeros", good_spec, "--s-size", "200",
+         "--out", str(out)],
+        ["certify", str(out / "result.json")],
+        ["oracle", "--zeros", good_spec, "--mode", "randomized"],
+    ]
+
+    def round_():
+        assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+        capsys.readouterr()
+
+    round_()  # warm up the caches every call shares
     gc.collect()
-    thresholds = gc.get_threshold()
-    gc.set_threshold(10 ** 9)  # no automatic collection during the call
-    try:
-        assert main(["check", "--n", "5", "--k", "3"]) == 0
-        assert gc.collect() == 0
-    finally:
-        gc.set_threshold(*thresholds)
+    before = len(gc.get_objects())
+    for _ in range(100):
+        round_()
+    gc.collect()
+    assert len(gc.get_objects()) <= before
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys, good_spec, tmp_path):

@@ -28,9 +28,13 @@ def test_bad_counts_refused_at_parse_time(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["--epsilon", "7"], "error: epsilon must be in (0, 1], got 7"),
     (["--zeros", "missing.json"], "error: [Errno 2]"),
+    # refused before the k empty rows are built, with the CLI's message
+    (["--k", "10000000"], "error: row count 10000000 exceeds the input bound MAX_ROWS = 24\n"),
+    (["--zeros", "deep.json"], "error: deep.json: JSON nested too deeply\n"),
 ])
 def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     assert success_rate.main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
 
