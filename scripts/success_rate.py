@@ -14,17 +14,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from cyclogab import (GaloisContext, RetriesExhausted, SupportSpec, construct,
-                      required_sample_size)
-from cyclogab.cli import _read_json
-from cyclogab.supports import MAX_ROWS
+from cyclogab import RetriesExhausted, construct
+from cyclogab.cli import _run_inputs
 
 
 def single_draw_fails(task: tuple) -> bool:
-    prime, spec_obj, s_size, seed = task
-    spec = SupportSpec.from_obj(spec_obj)
+    ctx, spec, s_size, seed = task
     try:
-        construct(spec, GaloisContext(prime), s_size, seed=seed, max_retries=0)
+        construct(spec, ctx, s_size, seed=seed, max_retries=0)
         return False
     except RetriesExhausted:
         return True
@@ -41,8 +38,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--prime", type=int, default=11)
     parser.add_argument("--zeros", metavar="FILE", help="pattern JSON; default: empty pattern")
-    parser.add_argument("--n", type=int, default=6)
-    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--n", type=int, help="column count (default 6 without --zeros)")
+    parser.add_argument("--k", type=int, help="row count (default 3 without --zeros)")
     size = parser.add_mutually_exclusive_group()
     size.add_argument("--s-size", dest="s_size", type=_positive_int)
     size.add_argument("--epsilon", default="0.01")
@@ -63,19 +60,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    if args.zeros:
-        spec = SupportSpec.from_obj(_read_json(args.zeros))
-    elif args.k > MAX_ROWS:  # refused before the k empty rows are built, as in the CLI
-        raise ValueError(f"row count {args.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
-    else:
-        spec = SupportSpec(args.n, args.k, [()] * args.k)
-    if args.s_size is not None:
-        s_size = args.s_size
-    else:
-        s_size = required_sample_size(spec.n, spec.k, args.epsilon)
+    if args.zeros is None:  # empty 6 x 3 pattern by default; --n 0 reaches the shape check
+        args.n = 6 if args.n is None else args.n
+        args.k = 3 if args.k is None else args.k
+    ctx, spec, s_size = _run_inputs(args)
     bound = Fraction(spec.n + spec.k * (spec.k - 1), s_size)
 
-    tasks = [(args.prime, spec.to_obj(), s_size, args.seed0 + t) for t in range(args.trials)]
+    tasks = [(ctx, spec, s_size, args.seed0 + t) for t in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(single_draw_fails, tasks, chunksize=8))
@@ -83,15 +74,15 @@ def run(args: argparse.Namespace) -> int:
         outcomes = [single_draw_fails(t) for t in tasks]
     failures = sum(outcomes)
 
-    observed = failures / args.trials
+    within = Fraction(failures, args.trials) <= bound
     print(f"pattern            n={spec.n} k={spec.k} zeros={[sorted(z) for z in spec.zeros]}")
     print(f"sample set size    {s_size}")
     print(f"trials             {args.trials} (seeds {args.seed0}..{args.seed0 + args.trials - 1})")
     print(f"failures           {failures}")
-    print(f"observed fraction  {observed:.4f}")
+    print(f"observed fraction  {failures / args.trials:.4f}")
     print(f"theoretical bound  {float(bound):.4f}  ({bound})")
-    print(f"within bound       {'yes' if observed <= float(bound) else 'NO'}")
-    return 0 if observed <= float(bound) else 1
+    print(f"within bound       {'yes' if within else 'NO'}")
+    return 0 if within else 1
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def _load_spec(args: argparse.Namespace) -> SupportSpec:
 
 
 def _run_inputs(args: argparse.Namespace) -> tuple[GaloisContext, SupportSpec, int]:
-    """Field, pattern and sample-set size of a construct or subcode run."""
+    """Field, pattern and sample-set size of construct, subcode and scripts/success_rate.py."""
     ctx = GaloisContext(args.prime)
     spec = _load_spec(args)
     if spec.n > ctx.m:

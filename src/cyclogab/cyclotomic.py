@@ -352,7 +352,8 @@ class CycloElement:
             if bit == "1":
                 g, length = self * g.aut(1), length + 1
         conj = g.aut(1)
-        return conj * (1 / (self * conj).rational_value())
+        norm = self * conj  # rational: only numerators[0] is nonzero
+        return conj * Fraction(norm.denominator, norm.numerators[0])
 
     # -- automorphism -----------------------------------------------------
 
@@ -377,15 +378,6 @@ class CycloElement:
         acc = sum(map(operator.mul, self.numerators, powers))
         den = self.denominator
         return None if den % q == 0 else acc * pow(den, -1, q) % q
-
-    def is_rational(self) -> bool:
-        """True iff the element lies in the base field Q."""
-        return not any(self.numerators[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.numerators[0], self.denominator)
 
     def __bool__(self) -> bool:
         return any(self.numerators)

@@ -85,9 +85,6 @@ class FractionElement:
         return sum(c.numerator * pow(c.denominator, -1, q) * pow(omega, i, q)
                    for i, c in enumerate(self.coeffs)) % q
 
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
     def to_strings(self):
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 

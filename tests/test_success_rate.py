@@ -2,14 +2,22 @@
 message, never a traceback, and an explicit --s-size is the size used."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import cyclogab
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "success_rate.py"
 _spec = importlib.util.spec_from_file_location("success_rate", SCRIPT)
 success_rate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(success_rate)
+
+P63 = json.dumps({"n": 6, "k": 3, "zeros": [[1, 2], [3, 4], [5, 6]]})
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -31,10 +39,16 @@ def test_bad_counts_refused_at_parse_time(capsys, argv, message):
     # refused before the k empty rows are built, with the CLI's message
     (["--k", "10000000"], "error: row count 10000000 exceeds the input bound MAX_ROWS = 24\n"),
     (["--zeros", "deep.json"], "error: deep.json: JSON nested too deeply\n"),
+    # the CLI's input rules, read through cli._run_inputs
+    (["--zeros", "p63.json", "--k", "5"], "error: --k 5 does not match the pattern file (k=3)\n"),
+    (["--zeros", "p63.json", "--n", "9"], "error: --n 9 does not match the pattern file (n=6)\n"),
+    (["--prime", "7", "--n", "8"], "error: need n <= p-1 = 6, got n=8\n"),
+    (["--prime", "12"], "error: conductor must be an odd prime, got 12\n"),
 ])
 def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    (tmp_path / "p63.json").write_text(P63, encoding="utf-8")
     assert success_rate.main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
 
@@ -45,3 +59,15 @@ def test_explicit_sample_size_is_used(capsys):
     out = capsys.readouterr().out
     assert "sample set size    5\n" in out
     assert "trials             3 (seeds 0..2)" in out
+
+
+def test_pattern_file_run_in_two_worker_processes(tmp_path):
+    # a child process: the workers import the script by its module name
+    (tmp_path / "p63.json").write_text(P63, encoding="utf-8")
+    argv = ["--zeros", "p63.json", "--s-size", "500", "--trials", "4", "--jobs", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclogab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, str(SCRIPT), *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("pattern            n=6 k=3 zeros=[[1, 2], [3, 4], [5, 6]]\n")
+    assert "trials             4 (seeds 0..3)" in run.stdout
