@@ -10,18 +10,19 @@ claim forces to be maximal as well, IS measured exactly through a sweep of
 column-subset ranks, giving a falsifiable consequence for every claim.
 
 Every full-rank verdict over Q(zeta_p) (T, each minor of the sweep) is
-proved either by an image of full rank in F_q under zeta -> omega or by the
-exact ``ExactMatrix.rank``; any other image is always decided again exactly,
-so verdicts, ``checked_minors`` and the certificate bytes do not depend on
-the fast path.  q depends only on p and is not recorded.  Point
-independence is the exact rank over Z of the points' integer coordinates.
+proved either by an F_q image of full rank (``cyclotomic.fq_rows``) or by the
+exact elimination; any other image is always decided again exactly, so
+verdicts, ``checked_minors`` and the certificate bytes do not depend on the
+fast path.  q depends only on p and is not recorded.  Point independence is
+the exact rank over Z of the points' integer coordinates.
 
 The sweep reduces G to F_q once and walks the column subsets depth-first, so
 subsets sharing a prefix share its reduction and each subset of a
 rank-(k-1) prefix costs one dot product; a prefix that reaches rank k has
 its extensions counted, not visited, and every subset the walk reaches in
-full is decided by the exact rank.  Visit order, exact calls, the count and
-the budget error are those of one elimination per subset.
+full, its image known to be deficient, goes to the exact elimination alone.
+Visit order, exact calls, the count and the budget error are those of one
+F_q elimination per subset of the image.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .construction import ConstructionResult, construct, is_independent
-from .linalg import ExactMatrix, fq_image
-from .cyclotomic import GaloisContext
+from .linalg import ExactMatrix, _exact_rank
+from .cyclotomic import GaloisContext, fq_rows
 from .supports import SupportSpec, required_dimension
 
 DEFAULT_MAX_CHECKS = 100_000
@@ -122,17 +123,16 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     Once a prefix reaches rank k every extension is proved full, and is
     counted with ``math.comb`` unvisited.  The walk therefore reaches a leaf
     (a whole s-subset) only when its image has rank below k, and decides
-    that subset by the exact rank.  A matrix with no image gets zero
-    columns, which never raise the rank, so all its subsets reach the leaf.
-    A rank-deficient matrix ends every size at its first leaf, so it is
+    that subset by the exact elimination over Q(zeta_p) alone.  A
+    rank-deficient matrix ends every size at its first leaf, so it is
     refused after n - k + 1 exact ranks (or by the budget, if that is
     smaller).  Otherwise verdicts, exact calls and the count, budget error
     included, are those of one F_q elimination per subset.
     """
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
-    image = fq_image(matrix)
-    columns = list(zip(*image)) if image is not None else [(0,) * k] * n
+    rows = matrix.row_lists()
+    columns = list(zip(*fq_rows(matrix.ctx, rows)))
     checks = 0
 
     def count(subsets: int) -> None:
@@ -150,7 +150,7 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
             ann, left = anns[-1], s - len(prefix)
             if not left:  # a leaf whose image has rank below k: decide exactly
                 count(1)
-                if matrix.column_subset(prefix).rank() < k:
+                if _exact_rank([[row[c] for c in prefix] for row in rows]) < k:
                     return False
             elif c <= n - left:
                 if len(ann) == 1 and sum(map(operator.mul, ann[0], columns[c])) % q:

@@ -24,10 +24,11 @@ rational, i.e. when all coefficients past the constant one vanish.
 
 Fast nonzero proofs.  For the smallest prime q > 2^61 with q = 1 (mod p) the
 map zeta -> omega, with omega of order p in F_q, is a ring homomorphism from
-the elements whose denominator is prime to q onto F_q.  A nonzero image
-therefore proves that the element is nonzero; a zero image proves nothing and
-the caller decides that value again exactly.  q and omega depend only on p, so
-no file records them.
+Z[zeta] onto F_q.  ``fq_rows`` scales each row of a matrix into Z[zeta] by the
+lcm of its denominators, which keeps the rank of every column subset, and
+maps it entry-wise, so every matrix has an image.  An image of full rank
+proves that rank; any other image proves nothing, and the caller decides the
+rank again exactly.  q and omega depend only on p, so no file records them.
 
 All values are immutable after construction; operations are pure functions,
 safe to share between threads.
@@ -92,6 +93,17 @@ def _splitting_prime(p: int) -> tuple[int, tuple[int, ...]]:
     while (omega := pow(a, (q - 1) // p, q)) == 1:
         a += 1
     return q, tuple(pow(omega, i, q) for i in range(p - 1))
+
+
+def fq_rows(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]]) -> list[list[int]]:
+    """The image in F_q (q = ``ctx.modulus``) of each row scaled by the lcm of
+    its entries' denominators: every numerator under zeta -> omega."""
+    q, powers = _splitting_prime(ctx.p)
+    out = []
+    for row in rows:
+        _, (scaled,) = _common_numerators([row])
+        out.append([sum(map(operator.mul, nums, powers)) % q for nums in scaled])
+    return out
 
 
 def _smallest_primitive_root(p: int) -> int:
@@ -370,14 +382,6 @@ class CycloElement:
         return _element(ctx, [v - tail for v in out] if tail else out, self.denominator)
 
     # -- predicates and views ---------------------------------------------
-
-    def fq_image(self) -> int | None:
-        """Image under zeta -> omega in F_q (q = ``ctx.modulus``), or None when
-        q divides the denominator.  Nonzero proves self != 0."""
-        q, powers = _splitting_prime(self.ctx.p)
-        acc = sum(map(operator.mul, self.numerators, powers))
-        den = self.denominator
-        return None if den % q == 0 else acc * pow(den, -1, q) % q
 
     def __bool__(self) -> bool:
         return any(self.numerators)

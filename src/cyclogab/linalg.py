@@ -13,21 +13,19 @@ coefficient size.
 The transform rows (maximal minors of a Moore block) take no determinant:
 ``bordered_minor_row`` builds them by condensation in O(k^2) field products.
 
-``ExactMatrix.rank`` is the one full-rank decision.  It reduces the matrix
-under zeta -> omega (``fq_image``, see ``cyclotomic``) and eliminates over
-F_q first: an image of rank min(rows, cols) proves that rank, because some
-maximal minor then has a nonzero image.  Any other outcome only means
-"unknown", and the exact elimination over Q(zeta_p) decides.
+``ExactMatrix.rank`` is the one full-rank decision.  It eliminates the
+matrix's F_q image (``cyclotomic.fq_rows``) first: an image of rank
+min(rows, cols) proves that rank, because some maximal minor of the
+row-scaled matrix then has a nonzero image.  Any other outcome only means
+"unknown", and the exact elimination over Q(zeta_p) (``_exact_rank``) decides.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycloElement, GaloisContext, dot_products
+from .cyclotomic import CycloElement, GaloisContext, dot_products, fq_rows
 from .supports import _int_field
-
-FqRows = list[list[int]]
 
 
 class ExactMatrix:
@@ -101,12 +99,10 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank; full rank is proved in F_q when the image has it."""
-        image = fq_image(self)
-        if image is not None:
-            full = min(self.rows, self.cols)
-            if _eliminate(image, _mod_reducer(self.ctx.modulus))[0] == full:
-                return full
-        return _eliminate(self.row_lists(), _field_quotient)[0]
+        rows, full = self.row_lists(), min(self.rows, self.cols)
+        if _eliminate(fq_rows(self.ctx, rows), _mod_reducer(self.ctx.modulus))[0] == full:
+            return full
+        return _exact_rank(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -197,16 +193,9 @@ def _field_quotient(prev: CycloElement | None) -> Callable[[list], list]:
     return lambda row: [v * inv for v in row]
 
 
-def fq_image(matrix: ExactMatrix) -> FqRows | None:
-    """Entry-wise image of the matrix in F_q, q = ``matrix.ctx.modulus``;
-    None when q divides a coefficient denominator of some entry."""
-    rows = []
-    for i in range(matrix.rows):
-        row = [e.fq_image() for e in matrix.row(i)]
-        if None in row:
-            return None
-        rows.append(row)
-    return rows
+def _exact_rank(rows: Sequence[Sequence[CycloElement]]) -> int:
+    """Rank over Q(zeta_p) by the exact elimination alone, with no F_q attempt."""
+    return _eliminate(rows, _field_quotient)[0]
 
 
 def bordered_minor_row(ctx: GaloisContext,

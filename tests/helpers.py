@@ -5,8 +5,9 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from cyclogab import CompletionError, ExactMatrix, SupportSpec, check_condition
-from cyclogab.linalg import _eliminate, _mod_reducer, fq_image
+from cyclogab import CompletionError, ExactMatrix, SupportSpec, check_condition, linalg
+from cyclogab.cyclotomic import fq_rows
+from cyclogab.linalg import _eliminate, _mod_reducer
 
 
 def embed(elem, power: int = 1) -> complex:
@@ -75,15 +76,15 @@ class FractionElement:
         return FractionElement(self.ctx, [row[m] for row in aug])
 
     def fq_image(self):
+        """Image under zeta -> omega in F_q of a value of Z[zeta], the domain
+        of the map."""
+        assert all(c.denominator == 1 for c in self.coeffs)
         p, q = self.ctx.p, self.ctx.modulus
         a = 2
         while pow(a, (q - 1) // p, q) == 1:
             a += 1
         omega = pow(a, (q - 1) // p, q)
-        if any(c.denominator % q == 0 for c in self.coeffs):
-            return None
-        return sum(c.numerator * pow(c.denominator, -1, q) * pow(omega, i, q)
-                   for i, c in enumerate(self.coeffs)) % q
+        return sum(c.numerator * pow(omega, i, q) for i, c in enumerate(self.coeffs)) % q
 
     def to_strings(self):
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
@@ -333,15 +334,13 @@ def brute_hamming_distance(matrix: ExactMatrix) -> int:
 def proves_full_row_rank(image, q: int) -> bool:
     """True when an F_q image has full row rank: a proof that the exact
     matrix has full row rank.  False means unknown, never rank-deficient."""
-    if image is None:
-        return False
     return _eliminate(image, _mod_reducer(q))[0] == len(image)
 
 
 def refuse_rank_deficient(matrix: ExactMatrix) -> None:
     """The reference sweep's check before any subset: an F_q proof of full
     row rank, else one exact rank, which must reach k."""
-    if not proves_full_row_rank(fq_image(matrix), matrix.ctx.modulus) \
+    if not proves_full_row_rank(fq_rows(matrix.ctx, matrix.row_lists()), matrix.ctx.modulus) \
             and matrix.rank() < matrix.rows:
         raise ValueError("matrix is rank-deficient; its rows do not generate a k-dimensional code")
 
@@ -349,23 +348,23 @@ def refuse_rank_deficient(matrix: ExactMatrix) -> None:
 def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
     """(distance, checks) of ``certify._distance_sweep`` by one F_q elimination
     per column subset: each size s visits its subsets in combinations order
-    and stops at the first one whose image does not prove full rank and whose
-    exact rank is below k; the budget error fires at subset max_checks + 1.
+    and stops at the first one whose columns of the matrix's image do not
+    prove full rank and whose exact rank (``linalg._exact_rank``, looked up
+    at each call) is below k; the budget error fires at subset max_checks + 1.
     A rank-deficient matrix is refused first (``refuse_rank_deficient``), so
     here the budget error never hides that refusal."""
     k, n = matrix.rows, matrix.cols
     q = matrix.ctx.modulus
     refuse_rank_deficient(matrix)
-    image = fq_image(matrix)
+    image = fq_rows(matrix.ctx, matrix.row_lists())
     checks = 0
     for s in range(k, n + 1):
         for cols in combinations(range(n), s):
             checks += 1
             if checks > max_checks:
                 raise ValueError(f"column-subset budget {max_checks} exceeded")
-            restricted = None if image is None else [[row[c] for c in cols] for row in image]
-            if not proves_full_row_rank(restricted, q) \
-                    and matrix.column_subset(cols).rank() < k:
+            if not proves_full_row_rank([[row[c] for c in cols] for row in image], q) \
+                    and linalg._exact_rank(matrix.column_subset(cols).row_lists()) < k:
                 break
         else:
             return n - s + 1, checks

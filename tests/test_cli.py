@@ -5,13 +5,14 @@ import io
 import json
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ConstructionResult, ExactMatrix, cli, supports
+from cyclogab import ConstructionResult, ExactMatrix, cli, linalg, supports
 from cyclogab.cli import main
 
 
@@ -434,24 +435,51 @@ def test_certify_rejects_tampered_result(capsys, good_spec, tmp_path):
     assert "transform @ moore" in err
 
 
-def test_certify_singular_transform_fails(capsys, tmp_path):
-    # a stored result whose transform has two equal rows loads (G is derived
-    # from it) but fails its certificate
+def stored_with_transform(capsys, tmp_path, edit):
+    """Build (13, 7, 3) at seed 5 under tmp_path/run, and store the result
+    again with its transform rows passed through ``edit`` (G is derived from
+    them on load); returns the new file and the build's certificate text."""
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, ["construct", "--prime", "13", "--n", "7", "--k", "3",
                               "--epsilon", "0.01", "--seed", "5", "--out", str(out_dir)])
     assert code == 0
     obj = json.loads((out_dir / "result.json").read_text())
     result = ConstructionResult.from_obj(obj)
-    rows = result.transform.row_lists()
-    rows[1] = rows[0]
-    singular = dataclasses.replace(result, transform=ExactMatrix.from_rows(result.moore.ctx, rows))
-    path = tmp_path / "singular.json"
-    path.write_text(json.dumps({**singular.to_obj(), "epsilon": obj["epsilon"]}), encoding="utf-8")
-    code, out, _ = run(capsys, ["certify", str(path)])
+    rows = edit(result.moore.ctx, result.transform.row_lists())
+    edited = dataclasses.replace(result, transform=ExactMatrix.from_rows(result.moore.ctx, rows))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**edited.to_obj(), "epsilon": obj["epsilon"]}), encoding="utf-8")
+    return str(path), (out_dir / "certificate.json").read_text()
+
+
+def test_certify_singular_transform_fails(capsys, tmp_path):
+    # a stored result whose transform has two equal rows loads but fails its
+    # certificate
+    def repeat_row_0(ctx, rows):
+        return [rows[0], rows[0], *rows[2:]]
+
+    path, _ = stored_with_transform(capsys, tmp_path, repeat_row_0)
+    code, out, _ = run(capsys, ["certify", path])
     assert code == 1
     assert '"t_invertible": false' in out
     assert json.loads(out)["passed"] is False
+
+
+def test_certify_transform_row_over_q_needs_no_exact_elimination(capsys, tmp_path, monkeypatch):
+    # T's row 0 divided by q: the row-scaled F_q images of T and of G are
+    # those of the build, so they prove T and every minor of the sweep, and
+    # only the generator's digest changes
+    def over_q(ctx, rows):
+        return [[e * Fraction(1, ctx.modulus) for e in rows[0]]] + rows[1:]
+
+    path, built = stored_with_transform(capsys, tmp_path, over_q)
+    monkeypatch.setattr(linalg, "_field_quotient",
+                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
+    code, out, _ = run(capsys, ["certify", path])
+    assert code == 0
+    got, want = json.loads(out), json.loads(built)
+    assert got.pop("matrix_sha256") != want.pop("matrix_sha256")
+    assert got == want and got["checked_minors"] == 35
 
 
 def test_construct_byte_identical_reruns(capsys, good_spec, tmp_path):

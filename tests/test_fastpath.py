@@ -1,5 +1,6 @@
-"""The F_q nonzero proofs: ring map, false zeros, unreducible entries, and
-agreement of the fast and exact routes, ``ExactMatrix.rank`` included."""
+"""The F_q nonzero proofs: ring map, false zeros, row-scaled images of
+entries with denominators, and agreement of the fast and exact routes,
+``ExactMatrix.rank`` included."""
 
 from fractions import Fraction
 
@@ -10,14 +11,19 @@ from hypothesis import strategies as st
 from cyclogab import (ExactMatrix, GaloisContext, is_independent, linalg, moore_matrix,
                       sample_points)
 from cyclogab.certify import _distance_sweep, hamming_distance
-from cyclogab.linalg import fq_image
-from conftest import CONTEXTS, elements
+from cyclogab.cyclotomic import fq_rows
+from conftest import CONTEXTS
 from helpers import (brute_hamming_distance, coordinate_rank, gaussian_rank,
                      proves_full_row_rank, transpose, zeta)
 
 
+def image(e):
+    """The F_q image of one element, as a 1 x 1 matrix."""
+    return fq_rows(e.ctx, [[e]])[0][0]
+
+
 def omega(ctx):
-    return zeta(ctx, 1).fq_image()
+    return image(zeta(ctx, 1))
 
 
 def false_zero(ctx):
@@ -26,7 +32,7 @@ def false_zero(ctx):
 
 
 def q_denominator(ctx):
-    """1/q + zeta: nonzero, with no image in F_q."""
+    """1/q + zeta: nonzero, and a row holding it is scaled by q for its image."""
     return ctx.element([Fraction(1, ctx.modulus), 1] + [0] * (ctx.m - 2))
 
 
@@ -43,29 +49,37 @@ def test_modulus_splits_and_is_deterministic(p):
             assert pow(2, cand - 1, cand) != 1 or pow(3, cand - 1, cand) != 1
 
 
+def integral_elements(p):
+    """Values of Z[zeta], the domain of the map."""
+    ctx = CONTEXTS[p]
+    coeff = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+    return st.lists(coeff, min_size=ctx.m, max_size=ctx.m).map(ctx.element)
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_image_is_a_ring_map(data):
     p = data.draw(st.sampled_from([3, 5, 7]))
     ctx = CONTEXTS[p]
     q = ctx.modulus
-    a = data.draw(elements(p))
-    b = data.draw(elements(p))
-    assert (a + b).fq_image() == (a.fq_image() + b.fq_image()) % q
-    assert (a - b).fq_image() == (a.fq_image() - b.fq_image()) % q
-    assert (a * b).fq_image() == a.fq_image() * b.fq_image() % q
-    assert ctx.one().fq_image() == 1 and ctx.zero().fq_image() == 0
-    if a.fq_image():
+    a = data.draw(integral_elements(p))
+    b = data.draw(integral_elements(p))
+    assert image(a + b) == (image(a) + image(b)) % q
+    assert image(a - b) == (image(a) - image(b)) % q
+    assert image(a * b) == image(a) * image(b) % q
+    assert image(ctx.one()) == 1 and image(ctx.zero()) == 0
+    if image(a):
         assert a  # a nonzero image is a proof
 
 
 def test_false_zero_goes_to_exact_fallback(ctx5):
     x = false_zero(ctx5)
-    assert x and x.fq_image() == 0
+    assert x and image(x) == 0
     one, zero = ctx5.one(), ctx5.zero()
-    m = ExactMatrix.from_rows(ctx5, [[x, one], [zero, one]])
-    assert fq_image(m)[0][0] == 0
-    assert not proves_full_row_rank(fq_image(m), ctx5.modulus)
+    rows = [[x, one], [zero, one]]
+    assert fq_rows(ctx5, rows)[0][0] == 0
+    assert not proves_full_row_rank(fq_rows(ctx5, rows), ctx5.modulus)
+    m = ExactMatrix.from_rows(ctx5, rows)
     assert m.rank() == 2
     singular = ExactMatrix.from_rows(ctx5, [[x, x], [one, one]])
     assert singular.rank() == 1
@@ -83,17 +97,19 @@ def test_false_zero_in_the_sweep(ctx5):
     assert hamming_distance(h) == brute_hamming_distance(h) == 1
 
 
-def test_denominator_divisible_by_q_goes_to_exact_path(ctx5):
-    e = q_denominator(ctx5)
-    assert e and e.fq_image() is None
+def test_denominator_divisible_by_q_has_a_row_scaled_image(ctx5, monkeypatch):
+    # row 0 is scaled by its denominator q into Z[zeta]: 1 + q zeta and q
+    e, q = q_denominator(ctx5), ctx5.modulus
     one = ctx5.one()
-    m = ExactMatrix.from_rows(ctx5, [[e, one], [one, one]])
-    assert fq_image(m) is None
-    assert not proves_full_row_rank(None, ctx5.modulus)
-    assert m.rank() == 2
+    rows = [[e, one], [one, one]]
+    assert fq_rows(ctx5, rows) == fq_rows(ctx5, [[e * q, one * q], [one, one]]) == [[1, 0], [1, 1]]
+    assert proves_full_row_rank(fq_rows(ctx5, rows), q)
     assert ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]).rank() == 1
     g = ExactMatrix.from_rows(ctx5, [[e, one, one], [one, one, e]])
     assert hamming_distance(g) == brute_hamming_distance(g)
+    monkeypatch.setattr(linalg, "_field_quotient",
+                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
+    assert ExactMatrix.from_rows(ctx5, rows).rank() == 2
 
 
 def test_independence_fallbacks(ctx5):
@@ -122,7 +138,7 @@ def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
 @st.composite
 def rank_matrices(draw):
     """r x c matrices, r and c in 0..4, with a false zero mod q, an entry
-    with no image in F_q, and planted dependent rows and columns."""
+    with q in its denominator, and planted dependent rows and columns."""
     ctx = CONTEXTS[draw(st.sampled_from([5, 7]))]
     r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     small = st.lists(st.integers(min_value=-2, max_value=2), min_size=ctx.m, max_size=ctx.m)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import ExactMatrix, SupportSpec, build_subcode, construct, hamming_distance
+from cyclogab import (ExactMatrix, SupportSpec, build_subcode, certify, construct,
+                      hamming_distance, linalg)
 from cyclogab.certify import _distance_sweep
 from conftest import CONTEXTS
 from helpers import (brute_hamming_distance, reference_distance_sweep, refuse_rank_deficient,
@@ -24,7 +25,7 @@ def outcome(sweep, matrix, max_checks):
 def sweep_matrices(draw):
     """k x n matrices, k in 1..6, with planted zero columns, dependent columns,
     common zero columns (their code is a subcode, so the sweep ends past
-    s = k), a false zero mod q and an entry with no image in F_q."""
+    s = k), a false zero mod q and an entry with q in its denominator."""
     ctx = CONTEXTS[draw(st.sampled_from([5, 7]))]
     k = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=k, max_value=k + (3 if k <= 4 else 2)))
@@ -65,12 +66,18 @@ def test_matches_reference_at_every_budget(matrix):
             == outcome(reference_distance_sweep, matrix, budget)
 
 
+def patch_exact_rank(monkeypatch, fn):
+    # the sweep's leaf and ExactMatrix.rank's fallback
+    for module in (linalg, certify):
+        monkeypatch.setattr(module, "_exact_rank", fn)
+
+
 def exact_rank_calls(monkeypatch, sweep, matrix):
     calls = []
-    rank = ExactMatrix.rank
-    monkeypatch.setattr(ExactMatrix, "rank", lambda self: calls.append(1) or rank(self))
-    result = sweep(matrix, 10 ** 6)
-    monkeypatch.setattr(ExactMatrix, "rank", rank)
+    exact = linalg._exact_rank
+    with monkeypatch.context() as patch:
+        patch_exact_rank(patch, lambda rows: calls.append(1) or exact(rows))
+        result = sweep(matrix, 10 ** 6)
     return result, len(calls)
 
 
@@ -81,22 +88,22 @@ def false_zero_pair(ctx):
 
 
 def no_image(ctx):
-    # no image in F_q: every subset is decided by the exact rank, in order
+    # q in a denominator: row 0 is scaled by q, so its image is (0, 1, 0, 0)
+    # and the three subsets that miss column 1 are decided exactly
     one = ctx.one()
     return [[one, q_denominator(ctx), one, ctx.zero()], [one, one, zeta(ctx, 1), one]]
 
 
 def test_same_exact_calls_as_reference(monkeypatch):
-    # the reference refuses a deficient matrix before any subset, which may
-    # take one exact rank; the sweep has no such step, only the leaf calls
+    # the reference's check before any subset takes no exact rank here (both
+    # images prove full row rank), so the sweep makes exactly its leaf calls
     check = lambda matrix, max_checks: refuse_rank_deficient(matrix)
-    for rows, before in ((false_zero_pair, 0), (no_image, 1)):
+    for rows, leaves in ((false_zero_pair, 1), (no_image, 3)):
         g = ExactMatrix.from_rows(CONTEXTS[5], rows(CONTEXTS[5]))
-        assert exact_rank_calls(monkeypatch, check, g)[1] == before
+        assert exact_rank_calls(monkeypatch, check, g)[1] == 0
         new = exact_rank_calls(monkeypatch, _distance_sweep, g)
-        ref = exact_rank_calls(monkeypatch, reference_distance_sweep, g)
-        assert new == (ref[0], ref[1] - before)
-        assert new[1] > 0
+        assert new == exact_rank_calls(monkeypatch, reference_distance_sweep, g)
+        assert new[1] == leaves
 
 
 RANK_DEFICIENT = "matrix is rank-deficient; its rows do not generate a k-dimensional code"
@@ -135,7 +142,7 @@ def test_rank_deficient_matrix_refused(monkeypatch, name):
 def test_proved_image_needs_no_exact_rank(monkeypatch):
     ctx = CONTEXTS[13]
     full = construct(SupportSpec(8, 3, [()] * 3), ctx, 2000, seed=3).generator
-    monkeypatch.setattr(ExactMatrix, "rank", lambda self: pytest.fail("exact rank called"))
+    patch_exact_rank(monkeypatch, lambda rows: pytest.fail("exact rank called"))
     assert _distance_sweep(full, 10 ** 6) == (6, 56)
 
 
