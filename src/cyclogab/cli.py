@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .certify import DEFAULT_MAX_CHECKS, Certificate, build_subcode, certify_mrd
@@ -27,13 +28,47 @@ from .supports import (MAX_ROWS, SupportSpec, check_condition, complete_sets,
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    CPython's C encoder serves no indented layout, and its pure-Python one
+    makes a call per value; here a list of strings is one join over the C
+    string quoter.  Dict keys must be strings, and any value other than a
+    dict, list, str, int, bool or None raises TypeError.
+    """
+    return _json(obj, "\n") + "\n"
 
 
-def _write(path: Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:  # streamed: no chunk list
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json(value: object, newline: str) -> str:
+    """JSON text of ``value`` in the layout of ``json.dumps(indent=2,
+    sort_keys=True)``, where ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {str}:
+            items = map(_quote, value)
+        else:
+            items = (_json(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        return ("{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json(item, inner) for key, item in sorted(value.items())])
+            + newline + "}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _read_json(path: str) -> object:
@@ -86,7 +121,7 @@ def _emit(out: Path | None, cert: Certificate, files: dict[str, dict]) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         for name, obj in files.items():
-            _write(out / name, obj)
+            (out / name).write_text(_dump(obj), encoding="utf-8")
         (out / "certificate.json").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0 if cert.passed else 1

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Sequence, Union
@@ -51,6 +52,10 @@ Scalar = Union[int, Fraction]
 # 9 to 16 ms at p = 257 (13- to 61-bit coefficients) with CPython 3.11 on a
 # 2-vCPU x86-64 machine, and a construction needs hundreds of them.
 MAX_CONDUCTOR = 257
+
+# Comma-joined strings that are each exactly what ``to_strings`` writes for
+# an integer coefficient.
+_INTEGRALS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)/1,)*(?:0|-?[1-9][0-9]*)/1")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -410,15 +415,13 @@ class CycloElement:
         if not (isinstance(items, list) and all(isinstance(s, str) for s in items)):
             raise ValueError("an element must be a list of coefficient strings")
         if len(items) == ctx.m:
-            # Z[zeta] values are written "n/1": read n with int() when every
-            # string is exactly what to_strings writes for it
-            try:
-                nums = [int(s[:-2]) for s in items]
-            except ValueError:
-                pass
-            else:
-                if items == [f"{v}/1" for v in nums]:
-                    return _element(ctx, nums)
+            # Z[zeta] values are written "n/1": when the joined strings are
+            # exactly what to_strings writes, int() reads each n
+            text = ",".join(items)
+            if _INTEGRALS.fullmatch(text):
+                nums = text[:-2].split("/1,")
+                if len(nums) == ctx.m:  # no string held a comma of its own
+                    return _element(ctx, list(map(int, nums)))
         try:
             return cls(ctx, [Fraction(s) for s in items])
         except ZeroDivisionError as exc:

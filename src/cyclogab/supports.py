@@ -15,31 +15,35 @@ violated condition is witnessed by the violating row set whose group mask
 (bit b for group b) is the least integer, found with at most one more
 matching per group.
 
-Two exact shortcuts save matchings.  A row set made of the forced rows, some
-free rows and columns from a mask has value at most forced + (free rows) +
-|columns|; when that bound is at most k, the value is reported as k with no
-matching, since every caller only compares it with k, and the required
-dimension is at least k anyway (all k rows give |common zeros| + k).  And
-Kuhn's search stops once every column of the mask is matched.  The group
-values are computed once per pattern object and kept on it, so repeated
-checks of one pattern (construction, completion, the oracle, the witness
-pass of ``check``) cost one computation.
+Three exact shortcuts save matchings and their steps.  A row set made of the
+forced rows, some free rows and columns from a mask has value at most
+forced + (free rows) + |columns|; when that count bound is at most k, no
+graph is built and no matching runs.  Kuhn's search stops once its matching
+brings the value down to k, and once every column of the mask is matched.
+The first two report any value at most k as k: every caller only compares a
+value with k, and the required dimension is at least k anyway (all k rows
+give |common zeros| + k).  The group values are computed once per pattern
+object and kept on it, so repeated checks of one pattern (construction,
+completion, the oracle, the witness pass of ``check``) cost one computation.
 
 Completion pads each zero set of a feasible pattern to k-1 columns.  Adding
 column c to row i can only break the condition for row sets made of i and
 rows that already hold c, and for those the common zeros grow by exactly c.
 So c is admissible iff the best such set, with row i and column c counted as
-forced, has value at most k: one matching per candidate, over column masks
-of the zero sets.
+forced, has value at most k: at most one matching per candidate, over column
+masks of the zero sets.  The rows holding each column are kept as a bit mask,
+so the count bound is decided from their number before any list is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 MAX_ROWS = 24  # input bound on k; the check itself is polynomial in k
+_TABLE_WIDTH = 1024  # widest union of zero sets whose masks come from a table of 1 << j
 
 
 class CompletionError(RuntimeError):
@@ -81,16 +85,10 @@ class SupportSpec:
         if not isinstance(obj, dict):
             raise ValueError("a pattern must be a JSON object with keys n, k and zeros")
         n, k, zeros = _int_field(obj, "n"), _int_field(obj, "k"), obj.get("zeros")
-        bad = "pattern field 'zeros' must be a list of lists of integer columns"
-        if not isinstance(zeros, list):
-            raise ValueError(bad)
-        zs = []
-        for row in zeros:  # one pass: each row is type-checked and becomes its set
-            if not _is_int_list(row):
-                raise ValueError(bad)
-            zs.append(frozenset(row))
+        if not _is_int_rows(zeros):
+            raise ValueError("pattern field 'zeros' must be a list of lists of integer columns")
         spec = object.__new__(cls)
-        spec._set(n, k, tuple(zs))
+        spec._set(n, k, tuple([frozenset(row) for row in zeros]))
         return spec
 
     def is_completed(self) -> bool:
@@ -122,8 +120,11 @@ def _is_int_list(value) -> bool:
 
 
 def _is_int_rows(value) -> bool:
-    """True iff value is a list of lists of integers."""
-    return isinstance(value, list) and all(map(_is_int_list, value))
+    """True iff value is a list of lists of integers; the common case of
+    plain lists of plain integers is one set of types per level."""
+    return isinstance(value, list) and (
+        {*map(type, value)} <= {list} and {*map(type, chain.from_iterable(value))} <= {int}
+        or all(map(_is_int_list, value)))
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -147,21 +148,30 @@ def _groups(spec: SupportSpec) -> list[tuple[int, tuple[int, ...]]]:
 
     Column c is bit j of a mask when c is the j-th smallest column of the
     union of the zero sets, so masks are as wide as the input, whatever n is.
+    A mask is the sum of its columns' entries in one table of 1 << j.  That
+    table holds width^2 / 2 bits, so a union wider than ``_TABLE_WIDTH``
+    builds each mask in a bytearray instead, linear in the width.
     """
     if spec.k > MAX_ROWS:
         raise ValueError(f"row count {spec.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
-    index = {c: j for j, c in enumerate(sorted(frozenset().union(*spec.zeros)))}
     rows: dict[frozenset[int], list[int]] = {}
     for i, z in enumerate(spec.zeros, start=1):
         rows.setdefault(z, []).append(i)
-    return [(_column_mask((index[c] for c in z), len(index)), tuple(r))
-            for z, r in rows.items()]
+    columns = sorted(frozenset().union(*rows))
+    width = len(columns)
+    if width > _TABLE_WIDTH:
+        index = dict(zip(columns, range(width)))
+        return [(_column_mask(map(index.__getitem__, z), width), tuple(r))
+                for z, r in rows.items()]
+    bit = dict(zip(columns, map((1).__lshift__, range(width))))
+    return [(sum(map(bit.__getitem__, z)), tuple(r)) for z, r in rows.items()]
 
 
-def _matching_size(adjacency: list[int], columns: int) -> int:
+def _matching_size(adjacency: list[int], columns: int, need: int) -> int:
     """Size of a maximum matching between left vertices and column bits, by
-    Kuhn's augmenting paths; adjacency[u] is the column mask of vertex u,
-    inside ``columns``.  The search stops once every column is matched."""
+    Kuhn's augmenting paths, or ``need`` once a matching that large is found;
+    adjacency[u] is the column mask of vertex u, inside ``columns``.  The
+    search also stops once every column is matched."""
     owner: dict[int, int] = {}  # matched column bit -> its left vertex
     taken = 0  # mask of the matched columns
     seen = 0  # matched columns already reached by the current search
@@ -186,37 +196,41 @@ def _matching_size(adjacency: list[int], columns: int) -> int:
 
     size = 0
     for u in range(len(adjacency)):
-        if taken == columns:
+        if size == need or taken == columns:
             break
         seen = 0
         size += augment(u)
     return size
 
 
-def _best_value(columns: int, forced: int, free: list[tuple[int, tuple[int, ...]]],
-                k: int) -> int:
+def _best_value(columns: int, forced: int, masks: list[int], k: int) -> int:
     """Largest forced + |rows of S| + |columns common to every zero set of S|
-    over the subsets S of the free groups, with columns drawn from the mask;
-    k in its place when the count bound proves it at most k.
+    over the subsets S of the free rows, whose zero sets have the column
+    masks ``masks``, with columns drawn from the mask ``columns``; k in its
+    place when it is at most k.
 
     A row set S and columns C lying in all its zero sets form an independent
     set of the bipartite graph joining each free row to the columns of the
     mask it has no zero in, so by Koenig-Egervary the largest |S| + |C| is
-    the vertex count minus a maximum matching.  Identical rows are separate
-    vertices.
+    the vertex count (the count bound) minus a maximum matching.  The count
+    bound is checked before the graph is built, and the matching stops once
+    it brings the value down to k.
     """
-    adjacency = [columns & ~mask for mask, rows in free for _ in rows]
-    bound = forced + len(adjacency) + columns.bit_count()
+    bound = forced + len(masks) + columns.bit_count()
     if bound <= k:
         return k
-    return bound - _matching_size(adjacency, columns)
+    return bound - _matching_size([columns & ~mask for mask in masks], columns, bound - k)
 
 
 def _top_values(groups: list[tuple[int, tuple[int, ...]]], k: int) -> list[int]:
     """For each group h, the largest value of a row set whose groups are h
-    and some of the earlier ones (k when that is provably at most k)."""
-    return [_best_value(columns, len(rows), groups[:h], k)
-            for h, (columns, rows) in enumerate(groups)]
+    and some of the earlier ones (k when that is at most k)."""
+    values: list[int] = []
+    earlier: list[int] = []  # the column mask of every row of the earlier groups
+    for columns, rows in groups:
+        values.append(_best_value(columns, len(rows), earlier, k))
+        earlier += [columns] * len(rows)
+    return values
 
 
 def check_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
@@ -233,10 +247,12 @@ def check_condition(spec: SupportSpec) -> tuple[bool, frozenset[int] | None]:
     if top is None:
         return True, None
     columns, rows = groups[top][0], list(groups[top][1])
-    for b in reversed(range(top)):
-        if _best_value(columns, len(rows), groups[:b], k) <= k:
-            columns &= groups[b][0]
-            rows += groups[b][1]
+    earlier = [mask for mask, members in groups[:top] for _ in members]
+    for mask, members in reversed(groups[:top]):
+        del earlier[-len(members):]  # now the rows of the groups before this one
+        if _best_value(columns, len(rows), earlier, k) <= k:
+            columns &= mask
+            rows += members
     return False, frozenset(rows)
 
 
@@ -254,9 +270,9 @@ def complete_sets(spec: SupportSpec) -> SupportSpec:
 
     Greedy and deterministic: rows in increasing index order, candidate
     columns in increasing index order, keeping the first admissible
-    candidate.  A candidate costs one matching (see the module docstring),
-    and the completed pattern gets one full condition check, which raises
-    CompletionError if it fails.  Returns ``spec`` itself when every row
+    candidate.  A candidate costs at most one matching (see the module
+    docstring), and the completed pattern gets one full condition check,
+    which raises CompletionError if it fails.  Returns ``spec`` itself when every row
     already has k-1 zeros.
     """
     ok, _ = check_condition(spec)
@@ -267,6 +283,10 @@ def complete_sets(spec: SupportSpec) -> SupportSpec:
     k = spec.k
     index: dict[int, int] = {}  # column -> its mask bit, numbered on first sight
     masks = [sum(1 << index.setdefault(c, len(index)) for c in z) for z in spec.zeros]
+    holders: dict[int, int] = {}  # column -> bit j for each row j whose zero set holds it
+    for j, z in enumerate(spec.zeros):
+        for c in z:
+            holders[c] = holders.get(c, 0) | 1 << j
     zeros = [set(z) for z in spec.zeros]
     for i, z in enumerate(zeros):
         # a growing zero set only raises these values, so a rejected column
@@ -276,10 +296,14 @@ def complete_sets(spec: SupportSpec) -> SupportSpec:
                 break
             if c in z:
                 continue
-            holders = [(masks[j], (j,)) for j, other in enumerate(zeros) if j != i and c in other]
-            if _best_value(masks[i], 2, holders, k) <= k:
-                z.add(c)
-                masks[i] |= 1 << index.setdefault(c, len(index))
+            held = holders.get(c, 0)
+            # the count bound of _best_value, checked before the holders' list is built
+            if 2 + held.bit_count() + len(z) > k and _best_value(
+                    masks[i], 2, [masks[j] for j in range(k) if held >> j & 1], k) > k:
+                continue
+            z.add(c)
+            masks[i] |= 1 << index.setdefault(c, len(index))
+            holders[c] = held | 1 << i
         if len(z) < k - 1:
             raise CompletionError(f"no admissible column for row {i + 1}")
     done = SupportSpec(spec.n, k, zeros)

@@ -3,6 +3,10 @@ import dataclasses
 import gc
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclogab
 from cyclogab import ConstructionResult, ExactMatrix, cli, linalg, supports
 from cyclogab.cli import main
 
@@ -51,6 +56,26 @@ def test_check_violation(capsys, bad_spec):
     assert report["condition"] is False
     assert report["ell"] == 4
     assert report["witness_omega"] == [1, 2]
+
+
+def _limit_memory():
+    # 1 GiB of address space: a table of 1 << j over the wide pattern's
+    # union would need about 10 GB and fail at once instead of swapping
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_check_wide_pattern_in_time(tmp_path):
+    # three zero sets over a union of 399 999 columns: the column masks are
+    # built in time and memory linear in the width
+    path = write_spec(tmp_path / "wide.json", {"n": 400_000, "k": 3, "zeros": [
+        list(range(1, 200_000)), list(range(100_000, 300_000)), list(range(200_000, 400_000))]})
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclogab.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", "from cyclogab.cli import main; raise SystemExit(main())",
+         "check", "--zeros", path],
+        env=env, capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory)
+    assert child.returncode == 1, child.stderr
+    assert json.loads(child.stdout) == {"condition": False, "ell": 200_001, "witness_omega": [1]}
 
 
 def test_check_empty_pattern_from_flags(capsys):
@@ -404,6 +429,31 @@ def test_construct_writes_files(capsys, good_spec, tmp_path):
     assert json.loads((out_dir / "certificate.json").read_text()) == cert
 
 
+json_text = st.one_of(st.text(max_size=6),
+                      st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é",
+                                       "\U0001f600", '"a\\b"\n']))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10 ** 300, 10 ** 300),
+              json_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(json_text, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(json_values)
+@settings(max_examples=300)
+def test_dump_is_json_dumps(value):
+    # every emitted file and printed report has the stdlib's indented bytes
+    assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [1, (2,)]}, {1: "a"}, [{"a": {1}}], b"x",
+                                   Fraction(1, 2)])
+def test_dump_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
+
+
 def test_emitted_file_key_sets(capsys, good_spec, tmp_path):
     out_dir = tmp_path / "run"
     run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
@@ -433,6 +483,29 @@ def test_certify_rejects_tampered_result(capsys, good_spec, tmp_path):
     code, _, err = run(capsys, ["certify", str(tampered)])
     assert code == 2
     assert "transform @ moore" in err
+
+
+def test_certify_integers_spelled_otherwise(capsys, tmp_path):
+    # "n/1" coefficients spelled in ways int() or Fraction() accept but
+    # to_strings never writes load by the Fraction path to the same values,
+    # so the stored result certifies as the built one did
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["construct", "--prime", "13", "--n", "7", "--k", "3",
+                              "--epsilon", "0.01", "--seed", "5", "--out", str(out_dir)])
+    assert code == 0
+    obj = json.loads((out_dir / "result.json").read_text())
+    spellings = [lambda v: f"+{v}/1" if v > 0 else f"-0{-v}/1" if v else "-0/1",
+                 lambda v: f" {v}/1", lambda v: f"{v}/01", lambda v: f"{v}/1"]
+    for name in ("moore", "transform", "generator"):
+        obj[name]["entries"] = [[spellings[i % 4](int(s[:-2])) for i, s in enumerate(entry)]
+                                for entry in obj[name]["entries"]]
+    assert obj["transform"]["entries"][0][0] != json.loads(
+        (out_dir / "result.json").read_text())["transform"]["entries"][0][0]
+    path = tmp_path / "respelled.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run(capsys, ["certify", str(path)])
+    assert code == 0
+    assert out == (out_dir / "certificate.json").read_text()
 
 
 def stored_with_transform(capsys, tmp_path, edit):

@@ -235,11 +235,12 @@ def test_matches_fraction_reference(data):
 
 
 # near-canonical coefficient strings: int() accepts some of them, and only an
-# exact "n/1" round trip may take the integer path
-NEAR_CANONICAL = ["0/1", "-0/1", "+3/1", " 3/1", "3/1 ", "3/01", "03/1", "1_0/1", "3/1_0",
-                  "٣/1", "３/1", "3/2", "-3/2", "1/0", "0/0", "3", "31", "3/1/1",
+# exact "n/1" may take the integer path; the integer path reads the strings
+# joined by commas, so some strings hold commas
+NEAR_CANONICAL = ["0/1", "-0/1", "+3/1", " 3/1", "3/1 ", "3/1\n", "3/01", "03/1", "1_0/1",
+                  "3/1_0", "٣/1", "٥/1", "３/1", "3/2", "-3/2", "1/0", "0/0", "3", "31", "3/1/1",
                   "/1", "", "1e3/1", "3.0/1", "1" * 4301 + "/1", "-" + "9" * 4300 + "/1",
-                  "9" * 4300 + "/1"]
+                  "9" * 4300 + "/1", "3/1,4/1", "3/1,", ",3/1", ","]
 
 
 def fraction_reference(s):
@@ -275,6 +276,21 @@ def test_from_strings_matches_fraction_parse(data):
         assert not errors and len(items) == ctx.m
         assert got == ctx.element(want)
         assert got.coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("odd", NEAR_CANONICAL)
+def test_from_strings_near_canonical(odd):
+    # each near-canonical string among canonical ones loads as the Fraction
+    # path reads it, or raises the Fraction path's error
+    items = ["7/1", odd, "-2/1", "0/1"]
+    want = [fraction_reference(s) for s in items]
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        with pytest.raises(ValueError) as exc:
+            CycloElement.from_strings(CONTEXTS[5], items)
+        assert str(exc.value) == errors[0]
+    else:
+        assert CycloElement.from_strings(CONTEXTS[5], items).coeffs == tuple(want)
 
 
 AUT_CONTEXTS = {p: CONTEXTS.get(p) or GaloisContext(p) for p in (3, 5, 7, 11, 13, 31, 257)}

@@ -8,7 +8,7 @@ from cyclogab import (CompletionError, SupportSpec, check_condition, complete_se
                       required_dimension, supports)
 from cyclogab.supports import MAX_ROWS
 from helpers import (brute_condition, brute_required_dimension, enumerated_condition,
-                     enumerated_required_dimension, reference_complete_sets)
+                     enumerated_required_dimension, reference_complete_sets, subset_values)
 
 
 def random_specs(max_n=8, max_k=4, satisfying=None):
@@ -117,13 +117,45 @@ def bound_regimes(draw, max_k=12):
     return SupportSpec(n, k, zeros)
 
 
-@given(st.one_of(specs_with_duplicates(), random_specs(max_n=14, max_k=10), bound_regimes()))
-@settings(max_examples=200, deadline=None)
+@st.composite
+def tight_patterns(draw, max_k=10):
+    # sparse rows plus one or two planted row sets whose common zeros bring
+    # their value to exactly k or k + 1, so group values land on the
+    # boundary, and so do completion candidates next to a set at exactly k
+    k = draw(st.integers(min_value=2, max_value=max_k))
+    n = draw(st.integers(min_value=k + 1, max_value=k + 4))
+    zeros = [draw(st.sets(st.integers(min_value=1, max_value=n), max_size=k // 3))
+             for _ in range(k)]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        rows = draw(st.permutations(range(k)))[:draw(st.integers(min_value=1, max_value=k))]
+        size = k - len(rows) + draw(st.integers(min_value=0, max_value=1))
+        common = draw(st.permutations(range(1, n + 1)))[:size]
+        for i in rows:
+            zeros[i] |= set(common)
+    return SupportSpec(n, k, zeros)
+
+
+def enumerated_top_values(spec):
+    """Per group h (first-row order), the largest value of a row set whose
+    last group is h, from the subset walk."""
+    top = {}
+    for mask, (value, _) in enumerate(subset_values(spec), start=1):
+        h = mask.bit_length() - 1
+        top[h] = max(top.get(h, 0), value)
+    return [top[h] for h in range(len(top))]
+
+
+@given(st.one_of(specs_with_duplicates(), random_specs(max_n=14, max_k=10), bound_regimes(),
+                 tight_patterns()))
+@settings(max_examples=250, deadline=None)
 def test_matching_matches_enumeration(spec):
     # verdict, witness (least violating group mask), ell and completion of
     # the matching analysis, with the matchings the count bound decides
-    # skipped, equal those of the exponential subset walk and of the
-    # completion greedy by full re-checks
+    # skipped and each matching stopped once it decides <= k, equal those of
+    # the exponential subset walk and of the completion greedy by full
+    # re-checks; each group's value is exact above k and reads k otherwise
+    k = spec.k
+    assert spec._group_values[1] == [max(k, v) for v in enumerated_top_values(spec)]
     assert check_condition(spec) == enumerated_condition(spec)
     assert required_dimension(spec) == enumerated_required_dimension(spec)
     if check_condition(spec)[0]:
@@ -136,7 +168,7 @@ def test_count_bound_skips_the_matchings(monkeypatch):
     calls = []
     real = supports._matching_size
     monkeypatch.setattr(supports, "_matching_size",
-                        lambda adjacency, columns: calls.append(1) or real(adjacency, columns))
+                        lambda *args: calls.append(1) or real(*args))
     spec = SupportSpec(8, 6, [(i,) for i in range(1, 7)])
     assert required_dimension(spec) == 6
     assert len(calls) == 1
