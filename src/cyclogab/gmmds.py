@@ -8,7 +8,9 @@ zero polynomial, which cross-validates the combinatorial subset check by an
 entirely different route.
 
 Two decision modes: full symbolic expansion (small k only), and randomized
-evaluation at uniform integer points.  The randomized mode has one-sided
+evaluation at uniform integer points.  A symbolic monomial lists only the
+variables it uses, so the expansion costs what k and the columns in the
+zero sets cost, whatever n is.  The randomized mode has one-sided
 error: a "nonzero" verdict always carries a witness point, while a "zero"
 verdict can be wrong with probability at most 1/100 per trial because the
 determinant has total degree at most k*(k-1)/2.
@@ -35,87 +37,88 @@ from .supports import SupportSpec, _check_shape, check_condition
 
 SYMBOLIC_MAX_K = 6
 RANDOM_TRIALS = 16
-MAX_ORACLE_N = 1024  # both modes allocate per column: n-coordinate points, n-variable polynomials
+MAX_ORACLE_N = 1024  # the randomized mode draws an n-coordinate point per trial
 DET_MODULUS = 2**61 - 1  # a prime: full rank mod it proves a nonzero determinant
 
 
 class SparsePoly:
-    """Multivariate polynomial over Q: sparse map from exponent tuples to
-    exact coefficients; zero coefficients are never stored."""
+    """Multivariate polynomial over Q: sparse map from monomials to exact
+    coefficients; zero coefficients are never stored.  A monomial is the
+    sorted tuple of its variable indices, one entry per unit of degree
+    (a_0^2 a_3 is (0, 0, 3)), so it holds only the variables it uses."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, nvars: int, terms: dict | None = None) -> None:
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Union[int, Fraction]] = {}
+    def __init__(self, terms: dict | None = None) -> None:
+        merged: dict[tuple[int, ...], Union[int, Fraction]] = {}
         for mono, c in (terms or {}).items():
-            if c:
-                if len(mono) != nvars or any(e < 0 for e in mono):
-                    raise ValueError(f"bad monomial {mono} for {nvars} variables")
-                clean[tuple(mono)] = c
-        self.terms = clean
+            mono = tuple(sorted(mono))
+            if mono and mono[0] < 0:
+                raise ValueError(f"negative variable index in monomial {mono}")
+            merged[mono] = merged.get(mono, 0) + c
+        self.terms = {m: c for m, c in merged.items() if c}
 
     @classmethod
-    def zero(cls, nvars: int) -> SparsePoly:
-        return cls(nvars)
+    def _sorted(cls, terms: dict) -> SparsePoly:
+        """Wrap terms whose monomials are already sorted, dropping zeros."""
+        poly = cls.__new__(cls)
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
 
     @classmethod
-    def const(cls, nvars: int, value: Union[int, Fraction]) -> SparsePoly:
-        return cls(nvars, {(0,) * nvars: value})
+    def zero(cls) -> SparsePoly:
+        return cls()
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> SparsePoly:
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1})
+    def const(cls, value: Union[int, Fraction]) -> SparsePoly:
+        return cls({(): value})
+
+    @classmethod
+    def variable(cls, index: int) -> SparsePoly:
+        return cls({(index,): 1})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other: SparsePoly) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
     def __add__(self, other) -> SparsePoly:
         if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.nvars, other)
-        self._check(other)
+            other = SparsePoly.const(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             terms[mono] = terms.get(mono, 0) + c
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._sorted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> SparsePoly:
-        return SparsePoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return SparsePoly._sorted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> SparsePoly:
-        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(self.nvars, -other))
+        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(-other))
 
     def __mul__(self, other) -> SparsePoly:
         if isinstance(other, (int, Fraction)):
-            return SparsePoly(self.nvars, {m: c * other for m, c in self.terms.items()})
-        self._check(other)
+            return SparsePoly._sorted({m: c * other for m, c in self.terms.items()})
         terms: dict[tuple[int, ...], Union[int, Fraction]] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(sorted(m1 + m2))
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._sorted(terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        return f"SparsePoly(nvars={self.nvars}, terms={len(self.terms)})"
+        return f"SparsePoly(terms={len(self.terms)})"
 
 
 def _root_product(roots: Sequence, zero, one) -> list:
@@ -140,25 +143,20 @@ def support_polynomial_matrix(spec: SupportSpec) -> list[list[SparsePoly]]:
     """
     if not spec.is_completed():
         raise ValueError("pattern must be completed (k-1 zeros per row) first")
-    n = spec.n
-    zero, one = SparsePoly.zero(n), SparsePoly.const(n, 1)
-    return [_root_product([SparsePoly.variable(n, t - 1) for t in sorted(z)], zero, one)
+    zero, one = SparsePoly.zero(), SparsePoly.const(1)
+    return [_root_product([SparsePoly.variable(t - 1) for t in sorted(z)], zero, one)
             for z in spec.zeros]
 
 
 def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     """Determinant by cofactor expansion with memoized column-subset minors."""
-    k = len(matrix)
-    nvars = matrix[0][0].nvars
-    memo: dict[tuple[int, ...], SparsePoly] = {}
+    memo: dict[tuple[int, ...], SparsePoly] = {(): SparsePoly.const(1)}
 
     def minor(i: int, cols: tuple[int, ...]) -> SparsePoly:
-        if not cols:
-            return SparsePoly.const(nvars, 1)
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        acc = SparsePoly.zero(nvars)
+        acc = SparsePoly.zero()
         for pos, c in enumerate(cols):
             entry = matrix[i][c]
             if entry.is_zero:
@@ -168,7 +166,7 @@ def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
         memo[cols] = acc
         return acc
 
-    return minor(0, tuple(range(k)))
+    return minor(0, tuple(range(len(matrix))))
 
 
 def _det_nonzero_at(spec: SupportSpec, point: Sequence[int]) -> bool:

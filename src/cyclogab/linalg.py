@@ -74,9 +74,6 @@ class ExactMatrix:
         return ExactMatrix(self.ctx, len(row_idx), len(col_idx),
                            [self[i, j] for i in row_idx for j in col_idx])
 
-    def column_subset(self, col_idx: Sequence[int]) -> ExactMatrix:
-        return self.submatrix(range(self.rows), col_idx)
-
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -137,22 +137,25 @@ def transpose(matrix: ExactMatrix) -> ExactMatrix:
 
 
 def total_degree(poly) -> int:
-    """Largest monomial degree of a SparsePoly; -1 for the zero polynomial."""
-    return max((sum(m) for m in poly.terms), default=-1)
+    """Largest monomial degree of a SparsePoly; -1 for the zero polynomial.
+    A monomial lists one variable index per unit of degree."""
+    return max((len(m) for m in poly.terms), default=-1)
 
 
 def evaluate(poly, point):
-    """Value of a SparsePoly at a point with one value per variable."""
-    if len(point) != poly.nvars:
-        raise ValueError(f"expected {poly.nvars} values, got {len(point)}")
+    """Value of a SparsePoly at a point; variable i takes the value point[i]."""
     total = 0
     for mono, c in poly.terms.items():
         val = c
-        for x, e in zip(point, mono):
-            if e:
-                val *= x ** e
+        for i in mono:
+            val *= point[i]
         total += val
     return total
+
+
+def column_subset(matrix: ExactMatrix, cols) -> ExactMatrix:
+    """The matrix restricted to the given columns, in their order."""
+    return matrix.submatrix(range(matrix.rows), cols)
 
 
 def perm_sign(perm) -> int:
@@ -326,7 +329,7 @@ def brute_hamming_distance(matrix: ExactMatrix) -> int:
     widest = k - 1  # any k-1 columns are trivially rank-deficient for k rows
     for size in range(k, n + 1):
         for cols in combinations(range(n), size):
-            if matrix.column_subset(cols).rank() < k:
+            if column_subset(matrix, cols).rank() < k:
                 widest = max(widest, size)
     return n - widest
 
@@ -364,7 +367,7 @@ def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int,
             if checks > max_checks:
                 raise ValueError(f"column-subset budget {max_checks} exceeded")
             if not proves_full_row_rank([[row[c] for c in cols] for row in image], q) \
-                    and linalg._exact_rank(matrix.column_subset(cols).row_lists()) < k:
+                    and linalg._exact_rank(column_subset(matrix, cols).row_lists()) < k:
                 break
         else:
             return n - s + 1, checks

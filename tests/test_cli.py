@@ -59,9 +59,18 @@ def test_check_violation(capsys, bad_spec):
 
 
 def _limit_memory():
-    # 1 GiB of address space: a table of 1 << j over the wide pattern's
-    # union would need about 10 GB and fail at once instead of swapping
+    # 1 GiB of address space, so a run that needs more fails at once instead
+    # of swapping: a table of 1 << j over the wide pattern's union would need
+    # about 10 GB
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_child(*argv):
+    """The CLI in a child process, under a 20 s timeout and that memory limit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclogab.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", "from cyclogab.cli import main; raise SystemExit(main())", *argv],
+        env=env, capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory)
 
 
 def test_check_wide_pattern_in_time(tmp_path):
@@ -69,13 +78,21 @@ def test_check_wide_pattern_in_time(tmp_path):
     # built in time and memory linear in the width
     path = write_spec(tmp_path / "wide.json", {"n": 400_000, "k": 3, "zeros": [
         list(range(1, 200_000)), list(range(100_000, 300_000)), list(range(200_000, 400_000))]})
-    env = {**os.environ, "PYTHONPATH": str(Path(cyclogab.__file__).parents[1])}
-    child = subprocess.run(
-        [sys.executable, "-c", "from cyclogab.cli import main; raise SystemExit(main())",
-         "check", "--zeros", path],
-        env=env, capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory)
+    child = _run_child("check", "--zeros", path)
     assert child.returncode == 1, child.stderr
     assert json.loads(child.stdout) == {"condition": False, "ell": 200_001, "witness_omega": [1]}
+
+
+def test_symbolic_oracle_wide_n_in_time(tmp_path):
+    # a k = 6 pattern on 10 of 1024 columns: the symbolic expansion costs
+    # what the used columns cost, whatever n is
+    path = write_spec(tmp_path / "k6wide.json", {"n": 1024, "k": 6, "zeros": [
+        [3, 5, 8, 9, 10], [1, 4, 6, 9, 10], [1, 2, 5, 7, 10],
+        [1, 2, 3, 6, 8], [2, 3, 4, 7, 9], [3, 4, 5, 8, 10]]})
+    child = _run_child("oracle", "--zeros", path)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["mode"] == "symbolic" and report["det_p_nonzero"] is True
 
 
 def test_check_empty_pattern_from_flags(capsys):

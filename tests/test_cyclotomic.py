@@ -37,6 +37,14 @@ def test_context_rejects_bad_conductor(p):
         GaloisContext(p)
 
 
+def test_context_equality_hash_and_repr():
+    a, b, c = GaloisContext(7), GaloisContext(7), GaloisContext(11)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and a != 7
+    assert len({a, b, c}) == 2
+    assert repr(a) == "GaloisContext(p=7)"
+
+
 def test_zeta_products(ctx5):
     assert zeta(ctx5, 1) * zeta(ctx5, 4) == ctx5.one()
     assert zeta(ctx5, 3) * zeta(ctx5, 3) == zeta(ctx5, 1)
@@ -93,6 +101,14 @@ def test_string_round_trip(ctx5):
     strings = a.to_strings()
     assert strings == ["1/1", "-3/2", "0/1", "7/9"]
     assert CycloElement.from_strings(ctx5, strings) == a
+
+
+def test_element_str_and_repr(ctx5):
+    x = ctx5.element([Fraction(1, 2), 0, -3, 1])
+    assert str(x) == "1/2 + -3*z^2 + 1*z^3"
+    assert repr(x) == "CycloElement(p=5, 1/2 + -3*z^2 + 1*z^3)"
+    assert str(zeta(ctx5, 1) * 2) == "2*z"
+    assert str(ctx5.zero()) == "0"
 
 
 def test_floats_are_rejected(ctx5):

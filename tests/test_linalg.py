@@ -9,8 +9,8 @@ from cyclogab import ExactMatrix, bordered_minor_row
 from cyclogab.linalg import _eliminate, _field_quotient, _int_quotient, _mod_reducer
 from conftest import CONTEXTS, elements, small_rationals
 from helpers import (FractionElement, bordered_minor_determinants, cofactor_det,
-                     coordinate_rank, gaussian_rank, identity, leibniz_det, moore_block,
-                     transpose, zero_matrix, zeta)
+                     column_subset, coordinate_rank, gaussian_rank, identity, leibniz_det,
+                     moore_block, transpose, zero_matrix, zeta)
 
 
 def matrices(p, rows, cols):
@@ -243,7 +243,15 @@ def test_submatrix_and_indexing(ctx5):
     assert m[1, 2] == ctx5.from_rational(5)
     sub = m.submatrix([1], [0, 2])
     assert sub.row(0) == (ctx5.from_rational(3), ctx5.from_rational(5))
-    assert m.column_subset([1]).col(0) == (ctx5.from_rational(1), ctx5.from_rational(4))
+    assert column_subset(m, [1]).col(0) == (ctx5.from_rational(1), ctx5.from_rational(4))
+
+
+def test_matrix_hash_follows_equality(ctx5):
+    rows = [[ctx5.from_rational(1), zeta(ctx5, 1)], [ctx5.zero(), ctx5.from_rational(Fraction(1, 3))]]
+    a = ExactMatrix.from_rows(ctx5, rows)
+    b = ExactMatrix.from_rows(ctx5, [list(row) for row in rows])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, transpose(a)}) == 2
 
 
 def test_matrix_serialization_round_trip(ctx5):
