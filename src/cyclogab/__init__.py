@@ -11,9 +11,8 @@ from .cyclotomic import CycloElement, GaloisContext
 from .linalg import ExactMatrix, bordered_minor_row
 from .supports import (CompletionError, SupportSpec, check_condition, complete_sets,
                        required_dimension)
-from .construction import (ConstructionResult, EvaluationPoints, RetriesExhausted,
-                           construct, is_independent, moore_matrix, required_sample_size,
-                           sample_points)
+from .construction import (ConstructionResult, RetriesExhausted, construct, is_independent,
+                           moore_matrix, required_sample_size, sample_points)
 from .gmmds import (OracleReport, SparsePoly, det_is_nonzero, oracle_report,
                     support_polynomial_matrix, sweep_agreement, symbolic_det)
 from .certify import (Certificate, SubcodeResult, build_subcode, certify_mrd,
@@ -26,7 +25,6 @@ __all__ = [
     "CompletionError",
     "ConstructionResult",
     "CycloElement",
-    "EvaluationPoints",
     "ExactMatrix",
     "GaloisContext",
     "OracleReport",

@@ -182,7 +182,7 @@ def _certify(result: ConstructionResult, generator: ExactMatrix, spec: SupportSp
     with ``check_minors`` the measured Hamming distance must equal it."""
     support_ok = verify_support(generator, spec)
     t_invertible = result.transform.rank() == result.transform.rows
-    points_independent = is_independent(result.points.elements)
+    points_independent = is_independent(result.points)
 
     hamming: int | None = None
     claimed: int | None = None

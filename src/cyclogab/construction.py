@@ -9,9 +9,10 @@ coordinate matrix); a single draw fails with probability
 at most (n + k*(k-1)) / s_size, so the retry loop below almost never runs
 for adequately large sample sets.
 
-A ``ConstructionResult`` derives the Moore matrix and the generator from its
-points and transform, so a result cannot hold an inconsistent pair; loading
-a stored result checks the stored copies against the derived ones.
+A ``ConstructionResult`` records its draw once and derives the Moore matrix
+and the generator from its points and transform; loading a stored result
+checks the stored copies (the points' sample set size and seed, and both
+matrices) against the derived ones.
 """
 
 from __future__ import annotations
@@ -49,51 +50,6 @@ def _check_sample_size(s_size: int) -> None:
 
 class RetriesExhausted(RuntimeError):
     """Every allowed draw produced a degenerate transform or dependent points."""
-
-
-@dataclass(frozen=True)
-class EvaluationPoints:
-    """n field elements with integer coordinates over the power basis.
-
-    coords[i][j], derived from the elements, is the coefficient of basis
-    element j in point i; every coordinate lies in
-    {0, ..., sample_set_size - 1}.
-    """
-
-    elements: tuple[CycloElement, ...]
-    sample_set_size: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if any(x.denominator != 1 or not all(0 <= v < self.sample_set_size for v in x.numerators)
-               for x in self.elements):
-            raise ValueError("coordinates must lie in [0, sample_set_size)")
-
-    @property
-    def coords(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([x.numerators for x in self.elements])
-
-    def to_obj(self) -> dict:
-        return {
-            "coords": [list(row) for row in self.coords],
-            "sample_set_size": self.sample_set_size,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_obj(cls, ctx: GaloisContext, obj: dict) -> EvaluationPoints:
-        """Inverse of ``to_obj``; malformed input raises ValueError."""
-        if not isinstance(obj, dict):
-            raise ValueError("points must be a JSON object with keys coords, "
-                             "sample_set_size and seed")
-        coords = obj.get("coords")
-        if not _is_int_rows(coords):
-            raise ValueError("point coords must be a list of lists of integers")
-        for row in coords:
-            if len(row) != ctx.m:
-                raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
-        elements = tuple([_element(ctx, row) for row in coords])
-        return cls(elements, _int_field(obj, "sample_set_size"), _int_field(obj, "seed"))
 
 
 def _parse_epsilon(epsilon: Union[float, str, Fraction]) -> Fraction:
@@ -147,19 +103,19 @@ def required_sample_size(n: int, k: int, epsilon: Union[float, str, Fraction]) -
     return s_size
 
 
-def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> EvaluationPoints:
+def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> tuple[CycloElement, ...]:
     """Draw n points with iid uniform coordinates in {0, ..., s_size - 1}.
 
-    The stream order is row-major (point index outer, basis index inner), so
-    a seed pins the draw bit-for-bit.
+    Coordinate j of a point is its coefficient of basis element j.  The
+    stream order is row-major (point index outer, basis index inner), so a
+    seed pins the draw bit-for-bit.
     """
     _check_sample_size(s_size)
     if n > ctx.m:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
     rng = random.Random(seed)
-    elements = tuple([_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
-                      for _ in range(n)])
-    return EvaluationPoints(elements, s_size, seed)
+    return tuple([_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
+                  for _ in range(n)])
 
 
 def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
@@ -194,14 +150,13 @@ def is_independent(points: Sequence[CycloElement]) -> bool:
 class ConstructionResult:
     """Outcome of a successful build.  ``moore`` is the automorphism orbit of
     the points and ``generator`` is exactly transform @ moore; both are
-    derived on creation, never passed in.  The bookkeeping must match the
-    draw: the points come from attempt ``retries`` (sample seed
-    ``seed + retries``, at most ``max_retries``) with sample set size
-    ``s_size``."""
+    derived on creation, never passed in.  The draw is recorded once: the
+    points, every coordinate an integer in [0, s_size), come from attempt
+    ``retries`` (sample seed ``seed + retries``, at most ``max_retries``)."""
 
     spec: SupportSpec
     completed: SupportSpec
-    points: EvaluationPoints
+    points: tuple[CycloElement, ...]
     transform: ExactMatrix
     s_size: int
     seed: int
@@ -213,21 +168,18 @@ class ConstructionResult:
     def __post_init__(self) -> None:
         n, k = self.spec.n, self.spec.k
         if (self.transform.rows, self.transform.cols) != (k, k) \
-                or len(self.points.elements) != n:
+                or len(self.points) != n:
             raise ValueError("inconsistent shapes in construction result")
+        if any(x.denominator != 1 or not all(0 <= v < self.s_size for v in x.numerators)
+               for x in self.points):
+            raise ValueError("point coordinates must be integers in [0, s_size)")
         if not (self.completed.is_completed()
                 and all(a <= b for a, b in zip(self.spec.zeros, self.completed.zeros))):
             raise ValueError("completed pattern must extend the input to k-1 zeros per row")
-        if self.s_size != self.points.sample_set_size:
-            raise ValueError(f"s_size {self.s_size} differs from the sample set size "
-                             f"{self.points.sample_set_size} of the points")
         if not 0 <= self.retries <= self.max_retries:
             raise ValueError(f"retries must lie in [0, max_retries = {self.max_retries}], "
                              f"got {self.retries}")
-        if self.points.seed != self.seed + self.retries:
-            raise ValueError(f"points drawn with seed {self.points.seed}, but draw attempt "
-                             f"{self.retries} of seed {self.seed} uses {self.seed + self.retries}")
-        moore = moore_matrix(self.points.elements, k)
+        moore = moore_matrix(self.points, k)
         object.__setattr__(self, "moore", moore)
         object.__setattr__(self, "generator", self.transform @ moore)
 
@@ -240,7 +192,11 @@ class ConstructionResult:
             "seed": self.seed,
             "max_retries": self.max_retries,
             "retries": self.retries,
-            "points": self.points.to_obj(),
+            "points": {
+                "coords": [list(x.numerators) for x in self.points],
+                "sample_set_size": self.s_size,
+                "seed": self.seed + self.retries,
+            },
             "moore": self.moore.to_obj(),
             "transform": self.transform.to_obj(),
             "generator": self.generator.to_obj(),
@@ -249,25 +205,46 @@ class ConstructionResult:
     @classmethod
     def from_obj(cls, obj: dict) -> ConstructionResult:
         """Load a stored result; a missing field raises KeyError naming it,
-        other malformed input, and stored ``moore`` or ``generator`` matrices
-        that differ from the ones derived from the points and the transform,
-        raise ValueError."""
+        other malformed input, a stored sample set size or draw seed of the
+        points that disagrees with ``s_size`` or ``seed + retries``, and
+        stored ``moore`` or ``generator`` matrices that differ from the ones
+        derived from the points and the transform, raise ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a construction result must be a JSON object")
         ctx = GaloisContext.from_obj(obj["context"])
         spec = SupportSpec.from_obj(obj["spec"])
         completed = SupportSpec.from_obj(
             {"n": spec.n, "k": spec.k, "zeros": obj["completed_zeros"]})
+        points = obj["points"]
+        if not isinstance(points, dict):
+            raise ValueError("points must be a JSON object with keys coords, "
+                             "sample_set_size and seed")
+        coords = points.get("coords")
+        if not _is_int_rows(coords):
+            raise ValueError("point coords must be a list of lists of integers")
+        for row in coords:
+            if len(row) != ctx.m:
+                raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
+        drawn_size, drawn_seed = _int_field(points, "sample_set_size"), _int_field(points, "seed")
+        transform = ExactMatrix.from_obj(ctx, obj["transform"])
+        s_size = _int_field(obj, "s_size")
+        if drawn_size != s_size:
+            raise ValueError(f"s_size {s_size} differs from the sample set size "
+                             f"{drawn_size} of the points")
         result = cls(
             spec=spec,
             completed=completed,
-            points=EvaluationPoints.from_obj(ctx, obj["points"]),
-            transform=ExactMatrix.from_obj(ctx, obj["transform"]),
-            s_size=_int_field(obj, "s_size"),
+            points=tuple([_element(ctx, row) for row in coords]),
+            transform=transform,
+            s_size=s_size,
             seed=_int_field(obj, "seed"),
             max_retries=_int_field(obj, "max_retries"),
             retries=_int_field(obj, "retries"),
         )
+        if drawn_seed != result.seed + result.retries:
+            raise ValueError(f"points drawn with seed {drawn_seed}, but draw attempt "
+                             f"{result.retries} of seed {result.seed} uses "
+                             f"{result.seed + result.retries}")
         if not _stored_equals(ctx, obj["moore"], result.moore):
             raise ValueError("stored moore matrix must be the automorphism orbit of the points")
         if not _stored_equals(ctx, obj["generator"], result.generator):
@@ -310,10 +287,10 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     col_sets = [sorted(z) for z in completed.zeros]
     for attempt in range(max_retries + 1):
         pts = sample_points(ctx, spec.n, s_size, seed + attempt)
-        t_rows = [bordered_minor_row(ctx, [pts.elements[c - 1] for c in cols])
+        t_rows = [bordered_minor_row(ctx, [pts[c - 1] for c in cols])
                   for cols in col_sets]
         transform = ExactMatrix.from_rows(ctx, t_rows)
-        if transform.rank() == spec.k and is_independent(pts.elements):
+        if transform.rank() == spec.k and is_independent(pts):
             return ConstructionResult(
                 spec=spec,
                 completed=completed,

@@ -29,8 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .linalg import _eliminate, _int_quotient, _mod_reducer
 from .supports import SupportSpec, _check_shape, check_condition
@@ -42,7 +41,7 @@ DET_MODULUS = 2**61 - 1  # a prime: full rank mod it proves a nonzero determinan
 
 
 class SparsePoly:
-    """Multivariate polynomial over Q: sparse map from monomials to exact
+    """Multivariate polynomial over Z: sparse map from monomials to integer
     coefficients; zero coefficients are never stored.  A monomial is the
     sorted tuple of its variable indices, one entry per unit of degree
     (a_0^2 a_3 is (0, 0, 3)), so it holds only the variables it uses."""
@@ -50,7 +49,7 @@ class SparsePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None) -> None:
-        merged: dict[tuple[int, ...], Union[int, Fraction]] = {}
+        merged: dict[tuple[int, ...], int] = {}
         for mono, c in (terms or {}).items():
             mono = tuple(sorted(mono))
             if mono and mono[0] < 0:
@@ -70,7 +69,7 @@ class SparsePoly:
         return cls()
 
     @classmethod
-    def const(cls, value: Union[int, Fraction]) -> SparsePoly:
+    def const(cls, value: int) -> SparsePoly:
         return cls({(): value})
 
     @classmethod
@@ -82,7 +81,7 @@ class SparsePoly:
         return not self.terms
 
     def __add__(self, other) -> SparsePoly:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = SparsePoly.const(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
@@ -98,9 +97,9 @@ class SparsePoly:
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(-other))
 
     def __mul__(self, other) -> SparsePoly:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return SparsePoly._sorted({m: c * other for m, c in self.terms.items()})
-        terms: dict[tuple[int, ...], Union[int, Fraction]] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))

@@ -83,8 +83,7 @@ def test_criterion_4_independence_test_suite():
         rng = random.Random(9_000 + i)
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        triple = [pts.elements[0], pts.elements[1],
-                  pts.elements[0] * a + pts.elements[1] * b]
+        triple = [pts[0], pts[1], pts[0] * a + pts[1] * b]
         top_minor_zero = not moore_matrix(triple, 3).det()
         full_rank_drop = moore_matrix(triple, ctx.m).rank() < 3
         if top_minor_zero and full_rank_drop:
@@ -93,12 +92,12 @@ def test_criterion_4_independence_test_suite():
     rank_agrees = True
     for i in range(100):
         pts = sample_points(ctx, 3, 1000, seed=50_000 + i)
-        if is_independent(pts.elements):
+        if is_independent(pts):
             nonzero += 1
-            if moore_matrix(pts.elements, ctx.m).rank() != 3:
+            if moore_matrix(pts, ctx.m).rank() != 3:
                 rank_agrees = False
         else:
-            if moore_matrix(pts.elements, ctx.m).rank() == 3:
+            if moore_matrix(pts, ctx.m).rank() == 3:
                 rank_agrees = False
     ok = planted_ok == 100 and nonzero >= 97 and rank_agrees
     _report("4 independence-test equivalence suite", ok,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (Certificate, ConstructionResult, EvaluationPoints, ExactMatrix,
+from cyclogab import (Certificate, ConstructionResult, ExactMatrix,
                       SupportSpec, bordered_minor_row, build_subcode, certify_mrd,
                       complete_sets, construct, hamming_distance, moore_matrix,
                       required_dimension, sample_points, verify_support)
@@ -65,8 +65,7 @@ def test_hamming_distance_matches_subset_scan(seed):
     # independent route: scan every column subset for the widest rank drop
     ctx = CONTEXTS[5]
     pts = sample_points(ctx, 4, 9, seed=seed)
-    m = ExactMatrix.from_rows(ctx, [pts.elements[:4],
-                                    tuple(x.aut(1) for x in pts.elements[:4])])
+    m = ExactMatrix.from_rows(ctx, [pts, tuple(x.aut(1) for x in pts)])
     if m.rank() < 2:
         return
     assert hamming_distance(m) == brute_hamming_distance(m)
@@ -97,7 +96,7 @@ def make_result(ctx, spec, points, s_size, seed):
     """Assemble a fully consistent result from given points, as a stored
     file could encode one; construct() itself never emits degenerate draws."""
     completed = complete_sets(spec)
-    rows = [bordered_minor_row(ctx, [points.elements[c - 1] for c in sorted(z)])
+    rows = [bordered_minor_row(ctx, [points[c - 1] for c in sorted(z)])
             for z in completed.zeros]
     transform = ExactMatrix.from_rows(ctx, rows)
     return ConstructionResult(spec=spec, completed=completed, points=points,
@@ -109,9 +108,7 @@ def test_certify_dependent_points_fails_without_claim(ctx11):
     # duplicate one coordinate row: the points become dependent while the
     # whole result stays internally consistent
     clean = sample_points(ctx11, STAIRCASE.n, 1200, seed=1)
-    elements = clean.elements[:-1] + (clean.elements[0],)
-    dependent = EvaluationPoints(elements, 1200, seed=1)
-    assert dependent.coords == clean.coords[:-1] + (clean.coords[0],)
+    dependent = clean[:-1] + (clean[0],)
     cert = certify_mrd(make_result(ctx11, STAIRCASE, dependent, 1200, 1))
     assert not cert.points_independent
     assert cert.claimed_rank_distance is None
@@ -124,7 +121,7 @@ def test_result_invariants_enforced(ctx11, tmp_path, capsys):
     # moore and generator are derived from the points and the transform; a
     # stored copy that differs from the derived one is refused on load
     result = construct(STAIRCASE, ctx11, 1200, seed=1)
-    assert result.moore == moore_matrix(result.points.elements, STAIRCASE.k)
+    assert result.moore == moore_matrix(result.points, STAIRCASE.k)
     assert result.generator == result.transform @ result.moore
     other = construct(STAIRCASE, ctx11, 1200, seed=99).to_obj()
     for key, message in [("moore", "orbit of the points"), ("generator", "transform @ moore")]:

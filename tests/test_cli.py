@@ -215,6 +215,8 @@ def _edited_result(capsys, good_spec, tmp_path, mutate):
      "completed pattern must extend the input to k-1 zeros per row"),
     (_set(["points"], 5),
      "points must be a JSON object with keys coords, sample_set_size and seed"),
+    (_set(["points", "coords", 0, 0], "3"), "point coords must be a list of lists of integers"),
+    (_set(["points", "coords", 0, 0], 200), "point coordinates must be integers in [0, s_size)"),
     (_set(["transform", "entries"], 5), "matrix entries must be a list"),
     (_set(["context"], 5), "a context must be a JSON object with key p"),
 ])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (ConstructionResult, EvaluationPoints, ExactMatrix, RetriesExhausted,
+from cyclogab import (ConstructionResult, ExactMatrix, RetriesExhausted,
                       SupportSpec, construct, is_independent, moore_matrix, required_sample_size,
                       sample_points, verify_support)
 from cyclogab.construction import _parse_epsilon
@@ -65,15 +66,16 @@ def test_sample_points_deterministic(ctx11):
 
 def test_sample_points_degenerate_set(ctx5):
     pts = sample_points(ctx5, 3, 1, seed=0)
-    assert all(x == ctx5.zero() for x in pts.elements)
-    assert all(v == 0 for row in pts.coords for v in row)
+    assert all(x == ctx5.zero() for x in pts)
+    assert all(v == 0 for x in pts for v in x.numerators)
 
 
 def test_sample_points_coords_match_elements(ctx7):
     pts = sample_points(ctx7, 4, 50, seed=9)
-    for x, row in zip(pts.elements, pts.coords):
-        assert all(0 <= v < 50 for v in row)
-        assert x == ctx7.element(row)
+    assert isinstance(pts, tuple) and len(pts) == 4
+    for x in pts:
+        assert x.denominator == 1 and all(0 <= v < 50 for v in x.numerators)
+        assert x == ctx7.element(x.numerators)
     assert ctx7.element((1,) + (0,) * (ctx7.m - 1)) == ctx7.one()
 
 
@@ -82,16 +84,6 @@ def test_sample_points_validates(ctx5):
         sample_points(ctx5, 3, 0, seed=0)
     with pytest.raises(ValueError):
         sample_points(ctx5, 5, 10, seed=0)  # n > m
-
-
-def test_evaluation_points_derive_coords_and_check_range(ctx5):
-    pts = sample_points(ctx5, 3, 7, seed=4)
-    assert EvaluationPoints(pts.elements, 7, seed=4) == pts
-    assert pts.coords == tuple(x.numerators for x in pts.elements)
-    for bad in [ctx5.element([7, 0, 0, 0]), ctx5.element([-1, 0, 0, 0]),
-                ctx5.from_rational(Fraction(1, 2))]:
-        with pytest.raises(ValueError, match="sample_set_size"):
-            EvaluationPoints(pts.elements[:2] + (bad,), 7, seed=4)
 
 
 def test_moore_matrix_single_point_column(ctx5):
@@ -133,7 +125,7 @@ def test_independence_agrees_with_coordinate_rank(seed):
     # question without ever forming a Moore matrix
     ctx = CONTEXTS[5]
     pts = sample_points(ctx, 3, 6, seed=seed)
-    assert is_independent(pts.elements) == (coordinate_rank(pts.elements) == 3)
+    assert is_independent(pts) == (coordinate_rank(pts) == 3)
 
 
 def brute_force_rational_dependence(points, grid):
@@ -154,7 +146,7 @@ def test_planted_dependence_three_routes(ctx5):
     # Moore matrix loses column rank, (iii) the top minor vanishes
     grid = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
     pts = sample_points(ctx5, 2, 7, seed=123)
-    x1, x2 = pts.elements
+    x1, x2 = pts
     x3 = x1 * 2 - x2
     triple = [x1, x2, x3]
     assert brute_force_rational_dependence(triple, grid) is not None
@@ -164,10 +156,10 @@ def test_planted_dependence_three_routes(ctx5):
 
 def test_unplanted_triple_three_routes(ctx5):
     pts = sample_points(ctx5, 3, 100, seed=7)
-    assert is_independent(pts.elements)
-    assert moore_matrix(pts.elements, rows=ctx5.m).rank() == 3
+    assert is_independent(pts)
+    assert moore_matrix(pts, rows=ctx5.m).rank() == 3
     grid = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
-    assert brute_force_rational_dependence(list(pts.elements), grid) is None
+    assert brute_force_rational_dependence(list(pts), grid) is None
 
 
 STAIRCASE = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
@@ -179,7 +171,19 @@ def test_construct_staircase(ctx11):
     assert verify_support(result.generator, STAIRCASE)
     assert result.generator == result.transform @ result.moore
     assert bool(result.transform.det())
-    assert is_independent(result.points.elements)
+    assert is_independent(result.points)
+
+
+def test_result_checks_point_coordinates(ctx11):
+    # every coordinate of a drawn point is an integer in [0, s_size)
+    result = construct(STAIRCASE, ctx11, 1200, seed=1)
+    top = ctx11.element([1199] * ctx11.m)
+    assert replace(result, points=result.points[:-1] + (top,)).points[-1] == top
+    for bad in [ctx11.element([1200] + [0] * (ctx11.m - 1)),
+                ctx11.element([-1] + [0] * (ctx11.m - 1)),
+                ctx11.from_rational(Fraction(1, 2))]:
+        with pytest.raises(ValueError, match=r"integers in \[0, s_size\)"):
+            replace(result, points=result.points[:-1] + (bad,))
 
 
 def test_construct_row_space_preserved(ctx11):
@@ -194,7 +198,7 @@ def test_construct_rows_evaluate_transform_polynomial(ctx11):
     result = construct(STAIRCASE, ctx11, 1200, seed=3)
     k = STAIRCASE.k
     for r in range(k):
-        for j, x in enumerate(result.points.elements):
+        for j, x in enumerate(result.points):
             acc = ctx11.zero()
             for i in range(k):
                 acc = acc + result.transform[r, i] * x.aut(i)
@@ -238,9 +242,23 @@ def test_construct_retry_seed_counter(ctx5):
     # a forced retry at seed s must reproduce the draw of seed s+1
     spec = SupportSpec(3, 2, [(1,), (2,)])
     direct = construct(spec, ctx5, 40, seed=11)
-    assert direct.points.seed == 11 + direct.retries
-    redraw = sample_points(ctx5, 3, 40, seed=direct.points.seed)
+    draw_seed = direct.to_obj()["points"]["seed"]
+    assert draw_seed == 11 + direct.retries
+    redraw = sample_points(ctx5, 3, 40, seed=draw_seed)
     assert redraw == direct.points
+
+
+def test_result_round_trip_after_retries(ctx5):
+    # at s_size 2 the first draws fail; the stored points carry the seed of
+    # the winning draw, and loading them checks it against seed + retries
+    spec = SupportSpec(4, 2, [(1,), (2,)])
+    result = construct(spec, ctx5, 2, seed=0)
+    assert result.retries == 2
+    obj = result.to_obj()
+    assert obj["points"] == {"coords": [list(x.numerators) for x in result.points],
+                             "sample_set_size": 2, "seed": 2}
+    assert sample_points(ctx5, 4, 2, seed=2) == result.points
+    assert ConstructionResult.from_obj(obj) == result
 
 
 def test_result_round_trip(ctx11):

@@ -125,7 +125,7 @@ def test_independence_fallbacks(ctx5):
 
 def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
     # an image of full rank is the proof: no elimination over Q(zeta_p) runs
-    pts = sample_points(ctx11, 5, 1000, seed=2).elements
+    pts = sample_points(ctx11, 5, 1000, seed=2)
     m = moore_matrix(pts, 5)
     monkeypatch.setattr(linalg, "_field_quotient",
                         lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
