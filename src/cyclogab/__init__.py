@@ -13,8 +13,7 @@ from .supports import (CompletionError, SupportSpec, check_condition, complete_s
                        required_dimension)
 from .construction import (ConstructionResult, RetriesExhausted, construct, is_independent,
                            moore_matrix, required_sample_size, sample_points)
-from .gmmds import (OracleReport, SparsePoly, det_is_nonzero, oracle_report,
-                    support_polynomial_matrix, sweep_agreement, symbolic_det)
+from .gmmds import OracleReport, det_is_nonzero, oracle_report, sweep_agreement
 from .certify import (Certificate, SubcodeResult, build_subcode, certify_mrd,
                       hamming_distance, verify_support)
 
@@ -29,7 +28,6 @@ __all__ = [
     "GaloisContext",
     "OracleReport",
     "RetriesExhausted",
-    "SparsePoly",
     "SubcodeResult",
     "SupportSpec",
     "bordered_minor_row",
@@ -46,8 +44,6 @@ __all__ = [
     "required_dimension",
     "required_sample_size",
     "sample_points",
-    "support_polynomial_matrix",
     "sweep_agreement",
-    "symbolic_det",
     "verify_support",
 ]

@@ -5,8 +5,9 @@ Every command reads and writes JSON.  All randomness descends from the single
 are emitted with sorted keys, so identical invocations produce byte-identical
 files.
 
-Exit codes: 0 on success / condition holds, 1 when the condition fails or a
-certificate does not pass, 2 on usage or input errors.
+Exit codes: 0 on success / condition holds, 1 when the condition fails, the
+oracle's verdict is not a proved nonzero, or a certificate does not pass, 2 on
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                              "it enumerates every pattern of --n/--k")
         n = 4 if args.n is None else args.n
         k = 3 if args.k is None else args.k
-        table = sweep_agreement(n=n, k=k, mode=args.mode, seed=args.seed)
+        table = sweep_agreement(n=n, k=k, seed=args.seed)
         sys.stdout.write(_dump(table))
         return 0 if not table["disagreements"] else 1
     spec = _load_spec(args)
@@ -195,9 +196,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         spec = complete_sets(spec)
         print(f"note: pattern completed to {[sorted(z) for z in spec.zeros]}",
               file=sys.stderr)
-    report = oracle_report(spec, mode=args.mode, seed=args.seed)
+    report = oracle_report(spec, seed=args.seed)
     sys.stdout.write(_dump(report.to_obj()))
-    return 0 if report.det_nonzero else 1
+    if report.det_nonzero != report.condition:
+        why = ("no point gave a nonzero value and no witness rows prove zero"
+               if report.det_nonzero is None else "a proved verdict against the condition")
+        print(f"oracle disagrees: condition {json.dumps(report.condition)}, det_p_nonzero "
+              f"{json.dumps(report.det_nonzero)} ({why})", file=sys.stderr)
+    return 0 if report.condition and report.det_nonzero else 1
 
 
 def _add_spec_args(sub: argparse.ArgumentParser) -> None:
@@ -274,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_or = subs.add_parser("oracle", help="polynomial determinant oracle for a pattern")
     _add_spec_args(p_or)
-    p_or.add_argument("--mode", choices=("symbolic", "randomized"), default="symbolic")
+    p_or.add_argument("--mode", choices=("randomized",), default="randomized")
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--sweep", action="store_true",
                       help="run the exhaustive family sweep for --n/--k (default 4/3)")

@@ -5,22 +5,26 @@ coefficients (lowest degree first) of prod over the row's constrained
 columns t of (X - a_t), as polynomials in one variable a_t per column.  The
 pattern is feasible exactly when the determinant of that matrix is not the
 zero polynomial, which cross-validates the combinatorial subset check by an
-entirely different route.
+entirely different route.  Every verdict carries its proof.
 
-Two decision modes: full symbolic expansion (small k only), and randomized
-evaluation at uniform integer points.  A symbolic monomial lists only the
-variables it uses, so the expansion costs what k and the columns in the
-zero sets cost, whatever n is.  The randomized mode has one-sided
-error: a "nonzero" verdict always carries a witness point, while a "zero"
-verdict can be wrong with probability at most 1/100 per trial because the
-determinant has total degree at most k*(k-1)/2.
+Zero: the witness rows Omega of a failed condition share columns I with
+|I| + |Omega| > k.  Each such row is a polynomial of degree at most k - 1
+divisible by prod_{t in I}(X - a_t): for any a_t the rows lie in a space of
+dimension k - |I| < |Omega|, so they are dependent.  The oracle recounts
+|I| + |Omega| from the zero sets, not through the matching code of
+``supports``, and evaluates one seeded point, which must give zero; a
+nonzero value there is a nonzero verdict against the condition.
 
-At each random point the integer matrix is first eliminated modulo the
-prime DET_MODULUS = 2^61 - 1.  Full rank there proves the determinant
-nonzero, since it is then nonzero mod q.  Any other outcome proves nothing
-(q may divide a nonzero determinant), so that point is decided by exact
-fraction-free elimination over Z; the verdict and the witness point are the
-ones exact arithmetic alone gives.
+Nonzero: a point, out of at most RANDOM_TRIALS uniform ones with coordinates
+in a set of size max(1, 50*k*(k-1)), where the matrix is nonsingular.  The
+integer matrix is first eliminated modulo the prime DET_MODULUS = 2^61 - 1,
+where full rank proves the value nonzero; any other outcome (q may divide a
+nonzero value) is decided by exact fraction-free elimination over Z.
+
+Undecided (None): neither proof.  The determinant has total degree at most
+k*(k-1)/2, so a nonzero one vanishes at a point with probability at most
+1/100; such a pattern is a counterexample candidate to the condition's
+sufficiency, not a proved zero.
 """
 
 from __future__ import annotations
@@ -34,148 +38,40 @@ from typing import Sequence
 from .linalg import _eliminate, _int_quotient, _mod_reducer
 from .supports import SupportSpec, _check_shape, check_condition
 
-SYMBOLIC_MAX_K = 6
 RANDOM_TRIALS = 16
-MAX_ORACLE_N = 1024  # the randomized mode draws an n-coordinate point per trial
+MAX_ORACLE_N = 1024  # every evaluation draws an n-coordinate point
 DET_MODULUS = 2**61 - 1  # a prime: full rank mod it proves a nonzero determinant
 
 
-class SparsePoly:
-    """Multivariate polynomial over Z: sparse map from monomials to integer
-    coefficients; zero coefficients are never stored.  A monomial is the
-    sorted tuple of its variable indices, one entry per unit of degree
-    (a_0^2 a_3 is (0, 0, 3)), so it holds only the variables it uses."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None) -> None:
-        merged: dict[tuple[int, ...], int] = {}
-        for mono, c in (terms or {}).items():
-            mono = tuple(sorted(mono))
-            if mono and mono[0] < 0:
-                raise ValueError(f"negative variable index in monomial {mono}")
-            merged[mono] = merged.get(mono, 0) + c
-        self.terms = {m: c for m, c in merged.items() if c}
-
-    @classmethod
-    def _sorted(cls, terms: dict) -> SparsePoly:
-        """Wrap terms whose monomials are already sorted, dropping zeros."""
-        poly = cls.__new__(cls)
-        poly.terms = {m: c for m, c in terms.items() if c}
-        return poly
-
-    @classmethod
-    def zero(cls) -> SparsePoly:
-        return cls()
-
-    @classmethod
-    def const(cls, value: int) -> SparsePoly:
-        return cls({(): value})
-
-    @classmethod
-    def variable(cls, index: int) -> SparsePoly:
-        return cls({(index,): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other) -> SparsePoly:
-        if isinstance(other, int):
-            other = SparsePoly.const(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return SparsePoly._sorted(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> SparsePoly:
-        return SparsePoly._sorted({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> SparsePoly:
-        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(-other))
-
-    def __mul__(self, other) -> SparsePoly:
-        if isinstance(other, int):
-            return SparsePoly._sorted({m: c * other for m, c in self.terms.items()})
-        terms: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return SparsePoly._sorted(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"SparsePoly(terms={len(self.terms)})"
-
-
-def _root_product(roots: Sequence, zero, one) -> list:
-    """Coefficients of prod (X - a) over ``roots``, lowest degree first, in
-    the ring of ``zero`` and ``one``."""
-    coeffs = [one]
+def _root_product(roots: Sequence[int]) -> list[int]:
+    """Coefficients of prod (X - a) over ``roots``, lowest degree first."""
+    coeffs = [1]
     for a in roots:
-        lifted = [zero] * (len(coeffs) + 1)
+        lifted = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
-            lifted[d + 1] = lifted[d + 1] + c
-            lifted[d] = lifted[d] - c * a
+            lifted[d + 1] += c
+            lifted[d] -= c * a
         coeffs = lifted
     return coeffs
-
-
-def support_polynomial_matrix(spec: SupportSpec) -> list[list[SparsePoly]]:
-    """The k x k coefficient matrix of a completed pattern.
-
-    Row i holds the coefficients of prod_{t in zeros_i} (X - a_t) by
-    increasing degree, so column k is identically one and column j has
-    entries of degree k - j.
-    """
-    if not spec.is_completed():
-        raise ValueError("pattern must be completed (k-1 zeros per row) first")
-    zero, one = SparsePoly.zero(), SparsePoly.const(1)
-    return [_root_product([SparsePoly.variable(t - 1) for t in sorted(z)], zero, one)
-            for z in spec.zeros]
-
-
-def symbolic_det(matrix: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    """Determinant by cofactor expansion with memoized column-subset minors."""
-    memo: dict[tuple[int, ...], SparsePoly] = {(): SparsePoly.const(1)}
-
-    def minor(i: int, cols: tuple[int, ...]) -> SparsePoly:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        acc = SparsePoly.zero()
-        for pos, c in enumerate(cols):
-            entry = matrix[i][c]
-            if entry.is_zero:
-                continue
-            term = entry * minor(i + 1, cols[:pos] + cols[pos + 1:])
-            acc = acc - term if pos % 2 else acc + term
-        memo[cols] = acc
-        return acc
-
-    return minor(0, tuple(range(len(matrix))))
 
 
 def _det_nonzero_at(spec: SupportSpec, point: Sequence[int]) -> bool:
     """Whether the coefficient matrix is nonsingular at the integer point:
     proved by full rank mod DET_MODULUS, else decided by exact Bareiss."""
-    rows = [_root_product([point[t - 1] for t in sorted(z)], 0, 1) for z in spec.zeros]
+    rows = [_root_product([point[t - 1] for t in sorted(z)]) for z in spec.zeros]
     q = DET_MODULUS
     if _eliminate([[c % q for c in row] for row in rows], _mod_reducer(q))[0] == len(rows):
         return True
     return _eliminate(rows, _int_quotient)[0] == len(rows)
+
+
+def _proves_zero(spec: SupportSpec, omega: frozenset[int]) -> bool:
+    """Whether the 1-based rows omega hold so many common zero columns that
+    they are dependent: |common| + |omega| > k."""
+    if not omega or not omega <= frozenset(range(1, spec.k + 1)):
+        return False
+    common = frozenset.intersection(*[spec.zeros[i - 1] for i in omega])
+    return len(common) + len(omega) > spec.k
 
 
 @dataclass(frozen=True)
@@ -183,16 +79,18 @@ class OracleReport:
     """Outcome of one oracle run next to the combinatorial check."""
 
     condition: bool
-    det_nonzero: bool
-    mode: str
+    det_nonzero: bool | None
     witness_point: tuple[int, ...] | None
+    witness_omega: frozenset[int] | None
 
     def to_obj(self) -> dict:
+        omega, point = self.witness_omega, self.witness_point
         return {
             "condition": self.condition,
             "det_p_nonzero": self.det_nonzero,
-            "mode": self.mode,
-            "witness_point": list(self.witness_point) if self.witness_point is not None else None,
+            "mode": "randomized",
+            "witness_omega": sorted(omega) if omega is not None else None,
+            "witness_point": list(point) if point is not None else None,
         }
 
 
@@ -202,43 +100,37 @@ def check_oracle_size(n: int) -> None:
         raise ValueError(f"the oracle supports n <= MAX_ORACLE_N = {MAX_ORACLE_N}, got n={n}")
 
 
-def det_is_nonzero(spec: SupportSpec, mode: str = "symbolic",
-                   seed: int = 0) -> tuple[bool, tuple[int, ...] | None]:
+def det_is_nonzero(spec: SupportSpec, seed: int = 0
+                   ) -> tuple[bool | None, tuple[int, ...] | None, frozenset[int] | None]:
     """Decide whether the coefficient determinant is a nonzero polynomial.
 
-    Symbolic mode expands the determinant fully (k <= 6).  Randomized mode
-    evaluates at RANDOM_TRIALS uniform points with coordinates in a set of size
-    max(1, 50*k*(k-1)) and answers True on the first nonzero value, returned
-    as the witness.
+    Returns (True, point, None) with a point of nonzero value, (False, None,
+    omega) with the witness rows that prove the zero polynomial, or (None,
+    None, None) when neither proof was found (see the module docstring).
     """
     check_oracle_size(spec.n)
     if not spec.is_completed():
         raise ValueError("pattern must be completed (k-1 zeros per row) first")
-    if mode == "symbolic":
-        if spec.k > SYMBOLIC_MAX_K:
-            raise ValueError(f"symbolic mode supports k <= {SYMBOLIC_MAX_K}, got k={spec.k}")
-        det = symbolic_det(support_polynomial_matrix(spec))
-        return not det.is_zero, None
-    if mode == "randomized":
-        size = max(1, 50 * spec.k * (spec.k - 1))
-        rng = random.Random(seed)
-        for _ in range(RANDOM_TRIALS):
-            point = tuple([rng.randrange(size) for _ in range(spec.n)])
-            if _det_nonzero_at(spec, point):
-                return True, point
-        return False, None
-    raise ValueError(f"unknown mode {mode!r}")
+    ok, omega = check_condition(spec)
+    proved_zero = not ok and _proves_zero(spec, omega)
+    size = max(1, 50 * spec.k * (spec.k - 1))
+    rng = random.Random(seed)
+    for _ in range(1 if proved_zero else RANDOM_TRIALS):
+        point = tuple([rng.randrange(size) for _ in range(spec.n)])
+        if _det_nonzero_at(spec, point):
+            return True, point, None
+    return (False, None, omega) if proved_zero else (None, None, None)
 
 
-def oracle_report(spec: SupportSpec, mode: str = "symbolic", seed: int = 0) -> OracleReport:
+def oracle_report(spec: SupportSpec, seed: int = 0) -> OracleReport:
     """Run the determinant oracle and pair it with the combinatorial check."""
-    nonzero, witness = det_is_nonzero(spec, mode=mode, seed=seed)
+    nonzero, witness, omega = det_is_nonzero(spec, seed=seed)
     condition, _ = check_condition(spec)
-    return OracleReport(condition=condition, det_nonzero=nonzero, mode=mode,
-                        witness_point=witness)
+    return OracleReport(condition=condition, det_nonzero=nonzero, witness_point=witness,
+                        witness_omega=omega)
 
 
-def sweep_agreement(n: int = 4, k: int = 3, mode: str = "symbolic", seed: int = 0) -> dict:
+def sweep_agreement(n: int = 4, k: int = 3, seed: int = 0) -> dict:
     """Compare oracle and combinatorial check over every family of
     (k-1)-subsets of [n]; returns counts plus any disagreeing patterns."""
     check_oracle_size(n)
@@ -252,11 +144,11 @@ def sweep_agreement(n: int = 4, k: int = 3, mode: str = "symbolic", seed: int = 
     disagreements = []
     for zeros in families:
         spec = SupportSpec(n, k, zeros)
-        report = oracle_report(spec, mode=mode, seed=seed)
+        report = oracle_report(spec, seed=seed)
         total += 1
         if report.condition == report.det_nonzero:
             agree += 1
         else:
             disagreements.append(spec.to_obj())
-    return {"n": n, "k": k, "mode": mode, "families": total, "agree": agree,
+    return {"n": n, "k": k, "mode": "randomized", "families": total, "agree": agree,
             "disagreements": disagreements}

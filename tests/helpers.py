@@ -136,6 +136,138 @@ def transpose(matrix: ExactMatrix) -> ExactMatrix:
                        [matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)])
 
 
+class SparsePoly:
+    """Multivariate polynomial over Z: sparse map from monomials to integer
+    coefficients; zero coefficients are never stored.  A monomial is the
+    sorted tuple of its variable indices, one entry per unit of degree
+    (a_0^2 a_3 is (0, 0, 3)), so it holds only the variables it uses."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None) -> None:
+        merged: dict[tuple[int, ...], int] = {}
+        for mono, c in (terms or {}).items():
+            mono = tuple(sorted(mono))
+            if mono and mono[0] < 0:
+                raise ValueError(f"negative variable index in monomial {mono}")
+            merged[mono] = merged.get(mono, 0) + c
+        self.terms = {m: c for m, c in merged.items() if c}
+
+    @classmethod
+    def zero(cls) -> "SparsePoly":
+        return cls()
+
+    @classmethod
+    def const(cls, value: int) -> "SparsePoly":
+        return cls({(): value})
+
+    @classmethod
+    def variable(cls, index: int) -> "SparsePoly":
+        return cls({(index,): 1})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other) -> "SparsePoly":
+        if isinstance(other, int):
+            other = SparsePoly.const(other)
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            terms[mono] = terms.get(mono, 0) + c
+        return SparsePoly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "SparsePoly":
+        return SparsePoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other) -> "SparsePoly":
+        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(-other))
+
+    def __mul__(self, other) -> "SparsePoly":
+        if isinstance(other, int):
+            return SparsePoly({m: c * other for m, c in self.terms.items()})
+        terms: dict[tuple[int, ...], int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return SparsePoly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+def support_polynomial_matrix(spec: SupportSpec) -> list[list[SparsePoly]]:
+    """The k x k coefficient matrix of a completed pattern, symbolically.
+
+    Row i holds the coefficients of prod_{t in zeros_i} (X - a_t) by
+    increasing degree, with a_t the variable of index t - 1, so column k is
+    identically one and column j has entries of degree k - j.
+    """
+    if not spec.is_completed():
+        raise ValueError("pattern must be completed (k-1 zeros per row) first")
+    matrix = []
+    for z in spec.zeros:
+        coeffs = [SparsePoly.const(1)]
+        for t in sorted(z):  # multiply by (X - a_t)
+            lifted = [SparsePoly.zero()] * (len(coeffs) + 1)
+            for d, c in enumerate(coeffs):
+                lifted[d + 1] = lifted[d + 1] + c
+                lifted[d] = lifted[d] - c * SparsePoly.variable(t - 1)
+            coeffs = lifted
+        matrix.append(coeffs)
+    return matrix
+
+
+def symbolic_det(matrix) -> SparsePoly:
+    """Determinant by cofactor expansion with memoized column-subset minors:
+    the reference against which the oracle's proved verdicts are checked.
+    Its cost has no budget, so it serves small k only."""
+    memo: dict[tuple[int, ...], SparsePoly] = {(): SparsePoly.const(1)}
+
+    def minor(i: int, cols: tuple[int, ...]) -> SparsePoly:
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        acc = SparsePoly.zero()
+        for pos, c in enumerate(cols):
+            entry = matrix[i][c]
+            if entry.is_zero:
+                continue
+            term = entry * minor(i + 1, cols[:pos] + cols[pos + 1:])
+            acc = acc - term if pos % 2 else acc + term
+        memo[cols] = acc
+        return acc
+
+    return minor(0, tuple(range(len(matrix))))
+
+
+def reference_det_nonzero(spec: SupportSpec) -> bool:
+    """Whether the symbolic determinant of a completed pattern is nonzero."""
+    return not symbolic_det(support_polynomial_matrix(spec)).is_zero
+
+
+def violates(spec: SupportSpec, rows) -> bool:
+    """Whether the 1-based rows share so many zero columns that
+    |common| + |rows| > k, counted with plain sets."""
+    rows = sorted(rows)
+    if not rows or rows[0] < 1 or rows[-1] > spec.k:
+        return False
+    common = set(spec.zeros[rows[0] - 1])
+    for i in rows[1:]:
+        common &= spec.zeros[i - 1]
+    return len(common) + len(set(rows)) > spec.k
+
+
 def total_degree(poly) -> int:
     """Largest monomial degree of a SparsePoly; -1 for the zero polynomial.
     A monomial lists one variable index per unit of degree."""

@@ -5,6 +5,7 @@ arithmetic; the only statistical statement (the single-draw success rate) is
 pinned to its stated slack and is deterministic for the frozen seeds.
 """
 
+import itertools
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from cyclogab import (GaloisContext, RetriesExhausted, SupportSpec, build_subcod
                       det_is_nonzero, is_independent, moore_matrix, required_dimension,
                       sample_points, sweep_agreement, verify_support)
 from cyclogab.cli import main as cli_main
+from helpers import reference_det_nonzero
 
 STAIRCASE = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
 
@@ -26,12 +28,18 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_oracle_equivalence_exhaustive():
-    # all 216 families of three 2-element subsets of [4]: combinatorial
-    # condition and symbolic determinant oracle must agree exactly
-    table = sweep_agreement(n=4, k=3, mode="symbolic")
-    ok = table["families"] == 216 and table["agree"] == 216 and not table["disagreements"]
+    # all 216 families of three 2-element subsets of [4]: the combinatorial
+    # condition, the oracle's proved verdict and the symbolic expansion of
+    # the test reference must agree exactly
+    table = sweep_agreement(n=4, k=3)
+    families = [SupportSpec(4, 3, zeros) for zeros in itertools.product(
+        itertools.combinations(range(1, 5), 2), repeat=3)]
+    three_way = sum(check_condition(spec)[0] is det_is_nonzero(spec)[0]
+                    is reference_det_nonzero(spec) for spec in families)
+    ok = (table["families"] == len(families) == 216 and table["agree"] == 216
+          and not table["disagreements"] and three_way == 216)
     _report("1 oracle equivalence on all 216 families", ok,
-            f"agree={table['agree']}/216")
+            f"agree={table['agree']}/216, with the reference {three_way}/216")
 
 
 def test_criterion_2_single_draw_success_rate():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclogab
-from cyclogab import ConstructionResult, ExactMatrix, cli, linalg, supports
+from cyclogab import ConstructionResult, ExactMatrix, cli, gmmds, linalg, supports
 from cyclogab.cli import main
 
 
@@ -83,16 +83,19 @@ def test_check_wide_pattern_in_time(tmp_path):
     assert json.loads(child.stdout) == {"condition": False, "ell": 200_001, "witness_omega": [1]}
 
 
-def test_symbolic_oracle_wide_n_in_time(tmp_path):
-    # a k = 6 pattern on 10 of 1024 columns: the symbolic expansion costs
-    # what the used columns cost, whatever n is
-    path = write_spec(tmp_path / "k6wide.json", {"n": 1024, "k": 6, "zeros": [
-        [3, 5, 8, 9, 10], [1, 4, 6, 9, 10], [1, 2, 5, 7, 10],
-        [1, 2, 3, 6, 8], [2, 3, 4, 7, 9], [3, 4, 5, 8, 10]]})
+@pytest.mark.parametrize("n, zeros", [
+    # k = 6 on 10 of 1024 columns, and six disjoint 5-column zero sets (the
+    # symbolic expansion took about 10 s and 0.8 GB on the second)
+    (1024, [[3, 5, 8, 9, 10], [1, 4, 6, 9, 10], [1, 2, 5, 7, 10],
+            [1, 2, 3, 6, 8], [2, 3, 4, 7, 9], [3, 4, 5, 8, 10]]),
+    (30, [list(range(5 * i + 1, 5 * i + 6)) for i in range(6)]),
+], ids=["k6wide", "six-disjoint"])
+def test_oracle_k6_patterns_in_time(tmp_path, n, zeros):
+    path = write_spec(tmp_path / "k6.json", {"n": n, "k": 6, "zeros": zeros})
     child = _run_child("oracle", "--zeros", path)
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
-    assert report["mode"] == "symbolic" and report["det_p_nonzero"] is True
+    assert report["det_p_nonzero"] is True and len(report["witness_point"]) == n
 
 
 def test_check_empty_pattern_from_flags(capsys):
@@ -281,7 +284,7 @@ def test_construct_rejects_negative_retries(capsys, good_spec):
     assert "--max-retries" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["randomized", "symbolic"])
+@pytest.mark.parametrize("mode", ["randomized"])
 def test_oracle_rejects_large_n(capsys, tmp_path, mode):
     path = write_spec(tmp_path / "wide.json", {"n": 20_000_000, "k": 1, "zeros": [[]]})
     code, out, err = run(capsys, ["oracle", "--mode", mode, "--zeros", path])
@@ -671,17 +674,43 @@ def test_empty_out_refused(capsys, argv):
     assert "--out: must name a directory" in capsys.readouterr().err
 
 
-def test_oracle_modes_agree(capsys, good_spec):
-    code_s, out_s, _ = run(capsys, ["oracle", "--zeros", good_spec, "--mode", "symbolic"])
+def test_oracle_default_mode_is_randomized(capsys, good_spec):
+    # one decision route: the default and --mode randomized print the same
+    code_d, out_d, _ = run(capsys, ["oracle", "--zeros", good_spec, "--seed", "5"])
     code_r, out_r, _ = run(capsys, ["oracle", "--zeros", good_spec,
                                     "--mode", "randomized", "--seed", "5"])
-    assert code_s == code_r == 0
-    sym = json.loads(out_s)
-    rnd = json.loads(out_r)
-    assert sym["det_p_nonzero"] == rnd["det_p_nonzero"] is True
-    assert sym["condition"] is True
-    assert sym["witness_point"] is None
-    assert rnd["witness_point"] is not None
+    assert code_d == code_r == 0 and out_d == out_r
+    report = json.loads(out_r)
+    assert report["condition"] is report["det_p_nonzero"] is True
+    assert report["mode"] == "randomized" and report["witness_omega"] is None
+    assert report["witness_point"] is not None
+
+
+def test_oracle_refuses_mode_symbolic(capsys, good_spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--zeros", good_spec, "--mode", "symbolic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'symbolic'" in captured.err
+
+
+@pytest.mark.parametrize("zeros, value, verdict, why", [
+    # every point gives zero on a feasible pattern: undecided, not "zero"
+    ([[1, 2], [1, 3], [2, 3]], False, None, "no point gave a nonzero value"),
+    # a nonzero value at the cross-check point of a proved zero
+    ([[1, 2], [1, 2], [3, 4]], True, True, "a proved verdict against the condition"),
+], ids=["undecided", "contradiction"])
+def test_oracle_disagreement_exits_1_with_a_line(capsys, monkeypatch, tmp_path,
+                                                 zeros, value, verdict, why):
+    monkeypatch.setattr(gmmds, "_det_nonzero_at", lambda _spec, _point: value)
+    spec = write_spec(tmp_path / "p.json", {"n": 4, "k": 3, "zeros": zeros})
+    code, out, err = run(capsys, ["oracle", "--zeros", spec])
+    report = json.loads(out)
+    assert code == 1
+    assert report["det_p_nonzero"] is verdict and report["witness_omega"] is None
+    assert report["condition"] is (verdict is None)
+    assert err.count("\n") == 1 and err.startswith("oracle disagrees: condition ")
+    assert f"det_p_nonzero {json.dumps(verdict)} ({why}" in err
 
 
 def test_oracle_completes_underfull_pattern(capsys, tmp_path):
@@ -742,10 +771,11 @@ def test_oracle_sweep_rejects_bad_shape(capsys, shape):
 def test_oracle_violating_pattern_exit(capsys, tmp_path):
     # completed (one zero per row for k=2) yet violating: both rows share it
     spec = write_spec(tmp_path / "shared.json", {"n": 4, "k": 2, "zeros": [[1], [1]]})
-    code, out, _ = run(capsys, ["oracle", "--zeros", spec])
-    assert code == 1
+    code, out, err = run(capsys, ["oracle", "--zeros", spec])
+    assert code == 1 and err == ""
     report = json.loads(out)
     assert report["condition"] is False and report["det_p_nonzero"] is False
+    assert report["witness_omega"] == [1, 2] and report["witness_point"] is None
 
 
 JSON_VALUES = st.recursive(
