@@ -168,10 +168,13 @@ def cmd_subcode(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    obj = _read_json(args.result)
     try:
-        result = ConstructionResult.from_obj(_read_json(args.result))
+        result = ConstructionResult.from_obj(obj)
     except KeyError as exc:
         raise ValueError(f"{args.result}: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{args.result}: {exc}") from None
     spec = result.spec
     cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
     return _emit(args.out, cert, {})

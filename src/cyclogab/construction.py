@@ -27,8 +27,8 @@ from typing import Sequence, Union
 
 from .cyclotomic import CycloElement, GaloisContext, _element
 from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row
-from .supports import (SupportSpec, _check_shape, _int_field, _is_int_rows, check_condition,
-                       complete_sets)
+from .supports import (SupportSpec, _check_shape, _int_field, _is_int, _is_int_rows,
+                       check_condition, complete_sets)
 
 
 # Largest accepted sample-set size.  G's coefficients have about
@@ -138,11 +138,10 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
 
 def is_independent(points: Sequence[CycloElement]) -> bool:
     """True iff the points are linearly independent over Q, decided as full
-    row rank of the n x (p-1) integer matrix of their coefficient numerators
-    (each row is its point's coordinates times a positive denominator)."""
+    row rank of the n x (p-1) integer matrix of their coordinates."""
     if not points:
         raise ValueError("need at least one point")
-    rows = [x.numerators for x in points]
+    rows = [x.coeffs for x in points]
     return _eliminate(rows, _int_quotient)[0] == len(rows)
 
 
@@ -170,8 +169,7 @@ class ConstructionResult:
         if (self.transform.rows, self.transform.cols) != (k, k) \
                 or len(self.points) != n:
             raise ValueError("inconsistent shapes in construction result")
-        if any(x.denominator != 1 or not all(0 <= v < self.s_size for v in x.numerators)
-               for x in self.points):
+        if any(not all(0 <= v < self.s_size for v in x.coeffs) for x in self.points):
             raise ValueError("point coordinates must be integers in [0, s_size)")
         if not (self.completed.is_completed()
                 and all(a <= b for a, b in zip(self.spec.zeros, self.completed.zeros))):
@@ -193,7 +191,7 @@ class ConstructionResult:
             "max_retries": self.max_retries,
             "retries": self.retries,
             "points": {
-                "coords": [list(x.numerators) for x in self.points],
+                "coords": [list(x.coeffs) for x in self.points],
                 "sample_set_size": self.s_size,
                 "seed": self.seed + self.retries,
             },
@@ -226,7 +224,7 @@ class ConstructionResult:
             if len(row) != ctx.m:
                 raise ValueError(f"expected {ctx.m} coefficients, got {len(row)}")
         drawn_size, drawn_seed = _int_field(points, "sample_set_size"), _int_field(points, "seed")
-        transform = ExactMatrix.from_obj(ctx, obj["transform"])
+        transform = _load_matrix(ctx, obj, "transform")
         s_size = _int_field(obj, "s_size")
         if drawn_size != s_size:
             raise ValueError(f"s_size {s_size} differs from the sample set size "
@@ -245,24 +243,27 @@ class ConstructionResult:
             raise ValueError(f"points drawn with seed {drawn_seed}, but draw attempt "
                              f"{result.retries} of seed {result.seed} uses "
                              f"{result.seed + result.retries}")
-        if not _stored_equals(ctx, obj["moore"], result.moore):
+        if _load_matrix(ctx, obj, "moore", result.moore) != result.moore:
             raise ValueError("stored moore matrix must be the automorphism orbit of the points")
-        if not _stored_equals(ctx, obj["generator"], result.generator):
+        if _load_matrix(ctx, obj, "generator", result.generator) != result.generator:
             raise ValueError("stored generator must equal transform @ moore exactly")
         return result
 
 
-def _stored_equals(ctx: GaloisContext, stored: object, derived: ExactMatrix) -> bool:
-    """Whether a stored matrix object holds the derived matrix.  Its entries
-    are compared with the strings ``to_obj`` writes first and parsed only when
-    they differ, so an equal value spelled otherwise is still accepted, and
-    malformed input raises the ValueError of ``ExactMatrix.from_obj``."""
-    if isinstance(stored, dict) \
-            and stored.get("entries") == derived.to_obj()["entries"] \
-            and (_int_field(stored, "rows"), _int_field(stored, "cols")) \
-            == (derived.rows, derived.cols):
-        return True
-    return ExactMatrix.from_obj(ctx, stored) == derived
+def _load_matrix(ctx: GaloisContext, obj: dict, name: str,
+                 derived: ExactMatrix | None = None) -> ExactMatrix:
+    """``ExactMatrix.from_obj`` of obj[name], whose ValueError names the
+    matrix.  A stored copy of ``derived`` holding exactly what ``to_obj``
+    writes is not parsed and loads as ``derived``; an equal value spelled
+    otherwise is parsed, so the caller's comparison still holds."""
+    stored = obj[name]
+    if derived is not None and stored == derived.to_obj() \
+            and _is_int(stored["rows"]) and _is_int(stored["cols"]):
+        return derived
+    try:
+        return ExactMatrix.from_obj(ctx, stored)
+    except ValueError as exc:
+        raise ValueError(f"matrix {name!r}: {exc}") from None
 
 
 def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,

@@ -1,19 +1,17 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p), p an odd prime.
+"""Exact arithmetic in Z[zeta_p], the ring of integers of Q(zeta_p), p an odd prime.
 
-An element is a tuple of integer numerators over the power basis 1, zeta,
-..., zeta^(p-2) and one positive common denominator, in lowest terms, so equal
-values have equal representations.  Values of Z[zeta], all the construction
-builds, have denominator 1 and plain integer arithmetic.  ``Fraction``
-appears only at the boundary: the constructor, rational scalars, ``coeffs``
-of non-integral values (and so ``to_strings``), and JSON strings other than
-the exact "n/1" form, which ``from_strings`` reads with ``int()``.
+An element is its tuple of integer coefficients over the power basis 1, zeta,
+..., zeta^(p-2), so equal values have equal representations.  Every value
+the construction builds, stores or certifies lies in this ring: the points
+have integer coordinates, and the transform's entries are minors of their
+Moore block.
 
 Products use zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), schoolbook for
 one product and packed into big integers for the dot products of a matrix
-product (``dot_products``).  The inverse of a is the product of its m - 1
-nontrivial conjugates, built by doubling, divided by the norm N(a), the
-product of all m conjugates, a nonzero rational for a != 0.  Field operations cost O(p^2)
-integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
+product (``dot_products``).  The only division, ``exact_divider``, is of
+a minor by a minor, so its quotients lie in the ring; it divides by the
+divisor's integer norm and raises on a remainder.  Ring operations cost
+O(p^2) integer operations, hence the bound ``MAX_CONDUCTOR`` on p.
 
 The automorphism group over Q is cyclic of order m = p - 1.  The generator
 used throughout this package sends zeta to zeta^g, where g is the smallest
@@ -24,11 +22,9 @@ rational, i.e. when all coefficients past the constant one vanish.
 
 Fast nonzero proofs.  For the smallest prime q > 2^61 with q = 1 (mod p) the
 map zeta -> omega, with omega of order p in F_q, is a ring homomorphism from
-Z[zeta] onto F_q.  ``fq_rows`` scales each row of a matrix into Z[zeta] by the
-lcm of its denominators, which keeps the rank of every column subset, and
-maps it entry-wise, so every matrix has an image.  An image of full rank
-proves that rank; any other image proves nothing, and the caller decides the
-rank again exactly.  q and omega depend only on p, so no file records them.
+Z[zeta] onto F_q.  ``fq_rows`` maps a matrix entry-wise.  An image of full
+rank proves that rank; any other image proves nothing, and the caller decides
+the rank again exactly.  q and omega depend only on p, so no file records them.
 
 All values are immutable after construction; operations are pure functions,
 safe to share between threads.
@@ -37,25 +33,22 @@ safe to share between threads.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import re
-from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .supports import _is_int
-
-Scalar = Union[int, Fraction]
 
 # Largest accepted conductor.  One multiply takes (p-1)^2 integer products,
 # 9 to 16 ms at p = 257 (13- to 61-bit coefficients) with CPython 3.11 on a
 # 2-vCPU x86-64 machine, and a construction needs hundreds of them.
 MAX_CONDUCTOR = 257
 
-# Comma-joined strings that are each exactly what ``to_strings`` writes for
-# an integer coefficient.
+# Comma-joined strings that are each exactly what ``to_strings`` writes.
 _INTEGRALS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)/1,)*(?:0|-?[1-9][0-9]*)/1")
+# Any stored coefficient: "n" or "n/d", each an optional minus sign and ASCII digits.
+_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -101,14 +94,9 @@ def _splitting_prime(p: int) -> tuple[int, tuple[int, ...]]:
 
 
 def fq_rows(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]]) -> list[list[int]]:
-    """The image in F_q (q = ``ctx.modulus``) of each row scaled by the lcm of
-    its entries' denominators: every numerator under zeta -> omega."""
+    """The image in F_q (q = ``ctx.modulus``) of every entry under zeta -> omega."""
     q, powers = _splitting_prime(ctx.p)
-    out = []
-    for row in rows:
-        _, (scaled,) = _common_numerators([row])
-        out.append([sum(map(operator.mul, nums, powers)) % q for nums in scaled])
-    return out
+    return [[sum(map(operator.mul, e.coeffs, powers)) % q for e in row] for row in rows]
 
 
 def _smallest_primitive_root(p: int) -> int:
@@ -120,7 +108,7 @@ def _smallest_primitive_root(p: int) -> int:
 @functools.cache
 def _aut_table(p: int, e: int) -> tuple[Callable[[tuple], tuple], int]:
     """For the e-th power of zeta -> zeta^g (0 < e < p - 1): a getter that
-    reads, from numerators extended by a zero at index p - 1, the source of
+    reads, from coefficients extended by a zero at index p - 1, the source of
     each basis exponent t < p - 1, and the index whose exponent goes to p - 1.
 
     Exponent i goes to g^e * i mod p, so t comes from t * g^-e mod p; the
@@ -132,7 +120,7 @@ def _aut_table(p: int, e: int) -> tuple[Callable[[tuple], tuple], int]:
 
 
 class GaloisContext:
-    """Field parameters of Q(zeta_p)/Q.
+    """Parameters of Q(zeta_p)/Q and of its ring of integers Z[zeta_p].
 
     Holds the odd prime conductor ``p``, the extension degree ``m = p - 1``,
     and the exponent ``g`` (smallest primitive root mod p) of the generator
@@ -168,8 +156,8 @@ class GaloisContext:
         """The prime q of the nonzero-proof map zeta -> omega in F_q."""
         return _splitting_prime(self.p)[0]
 
-    def element(self, coeffs: Iterable[Scalar]) -> CycloElement:
-        """Element with the given power-basis coefficients (length m)."""
+    def element(self, coeffs: Iterable[int]) -> CycloElement:
+        """Element with the given integer power-basis coefficients (length m)."""
         return CycloElement(self, coeffs)
 
     def zero(self) -> CycloElement:
@@ -178,9 +166,9 @@ class GaloisContext:
     def one(self) -> CycloElement:
         return self.from_rational(1)
 
-    def from_rational(self, value: Scalar) -> CycloElement:
-        f = Fraction(value)
-        return _element(self, (f.numerator,) + (0,) * (self.m - 1), f.denominator)
+    def from_rational(self, value: int) -> CycloElement:
+        """The rational integer ``value`` as an element."""
+        return CycloElement(self, (value,) + (0,) * (self.m - 1))
 
     def to_obj(self) -> dict:
         return {"p": self.p}
@@ -192,17 +180,11 @@ class GaloisContext:
         return cls(obj.get("p"))
 
 
-def _element(ctx: GaloisContext, numerators, denominator: int = 1) -> CycloElement:
-    # numerators / denominator (> 0) in lowest terms; denominator 1 needs no gcd
-    if denominator != 1:
-        g = math.gcd(denominator, *numerators)
-        if g != 1:
-            numerators = [v // g for v in numerators]
-            denominator //= g
+def _element(ctx: GaloisContext, coeffs) -> CycloElement:
+    # integer coefficients, unchecked
     el = object.__new__(CycloElement)
     el.ctx = ctx
-    el.numerators = tuple(numerators)
-    el.denominator = denominator
+    el.coeffs = tuple(coeffs)
     return el
 
 
@@ -210,16 +192,15 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
                  cols: Sequence[Sequence[CycloElement]]) -> list[CycloElement]:
     """The dot products rows[i] . cols[j], row-major, by Kronecker substitution.
 
-    Each operand is scaled to its common denominator and each element packed
-    into one integer, numerator i at bit w*i, so a dot product is one sum of
-    big-integer products whose w-bit digits are the 2p - 3 coefficients of
-    the unreduced polynomial (von zur Gathen and Gerhard, Modern Computer
-    Algebra, section 8.4).  zeta^p = 1 is applied in packed form: an offset
-    of half a digit on each of the low p digits makes them non-negative, and
-    then the high digits are added onto the low ones with one mask and one
-    shift.  The p digits of that sum are unpacked, and zeta^(p-1) =
-    -(1 + ... + zeta^(p-2)) subtracts the last one from the others, which
-    also cancels the offset.
+    Each element is packed into one integer, coefficient i at bit w*i, so a
+    dot product is one sum of big-integer products whose w-bit digits are
+    the 2p - 3 coefficients of the unreduced polynomial (von zur Gathen and
+    Gerhard, Modern Computer Algebra, section 8.4).  zeta^p = 1 is applied
+    in packed form: an offset of half a digit on each of the low p digits
+    makes them non-negative, and then the high digits are added onto the low
+    ones with one mask and one shift.  The p digits of that sum are unpacked,
+    and zeta^(p-1) = -(1 + ... + zeta^(p-2)) subtracts the last one from the
+    others, which also cancels the offset.
 
     Every pair of basis exponents lands on exactly one of the p folded
     digits, so a folded digit is a sum of at most inner * m products, the
@@ -228,8 +209,8 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
     the unpack costs more than the schoolbook multiply it saves.
     """
     m, p = ctx.m, ctx.p
-    den_l, lhs = _common_numerators(rows)
-    den_r, rhs = _common_numerators(cols)
+    lhs = [[e.coeffs for e in vec] for vec in rows]
+    rhs = [[e.coeffs for e in vec] for vec in cols]
     inner = len(rows[0]) if rows else 0
     top_l = max(map(abs, chain.from_iterable(nums for vec in lhs for nums in vec)), default=0)
     top_r = max(map(abs, chain.from_iterable(nums for vec in rhs for nums in vec)), default=0)
@@ -244,22 +225,47 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
     offset = sum(half << s for s in range(0, width * p, width))
     shifts = range(0, width * m, width)
     top = width * m
-    den = den_l * den_r
     out = []
     for row in packed_l:
         for col in packed_r:
             acc = sum(map(operator.mul, row, col)) + offset
             acc = (acc & low) + (acc >> (width * p))  # zeta^(t+p) = zeta^t
             tail = acc >> top  # the zeta^(p-1) digit, minus the basis sum
-            out.append(_element(ctx, [(acc >> s & mask) - tail for s in shifts], den))
+            out.append(_element(ctx, [(acc >> s & mask) - tail for s in shifts]))
     return out
 
 
-def _common_numerators(vectors: Sequence[Sequence[CycloElement]]) -> tuple[int, list[list]]:
-    # every element's numerators over the lcm of all the denominators
-    den = math.lcm(*[e.denominator for vec in vectors for e in vec])
-    return den, [[e.numerators if den == 1 else [v * (den // e.denominator) for v in e.numerators]
-                  for e in vec] for vec in vectors]
+def exact_divider(divisor: CycloElement) -> Callable[[Sequence[CycloElement]], list[CycloElement]]:
+    """The map from values to their quotients by ``divisor``, each of which
+    must lie in Z[zeta_p]; one divisor serves any number of batches.
+
+    With c the product of the divisor's m - 1 nontrivial conjugates and
+    N = divisor * c its norm, a nonzero integer, the quotient is v * c / N,
+    coefficient by coefficient.  A nonzero remainder means the quotient is
+    not in the ring and raises ArithmeticError; nothing is rounded.  A zero
+    divisor raises ZeroDivisionError.
+
+    c is aut(G(m-1)) for G(L) = b aut(b) ... aut^(L-1)(b), b the divisor,
+    built by doubling in about 2 log2(m) products: G(2L) = G(L) aut^L(G(L))
+    and G(L+1) = b aut(G(L)).
+    """
+    if not divisor:
+        raise ZeroDivisionError("division by zero in Z[zeta_p]")
+    g, length = divisor, 1  # G(length), length running up the bits of m - 1
+    for bit in bin(divisor.ctx.m - 1)[3:]:
+        g, length = g * g.aut(length), 2 * length
+        if bit == "1":
+            g, length = divisor * g.aut(1), length + 1
+    conj = g.aut(1)
+    norm = (divisor * conj).coeffs[0]  # the other coefficients are zero
+
+    def divide(values: Sequence[CycloElement]) -> list[CycloElement]:
+        pairs = [[divmod(x, norm) for x in (v * conj).coeffs] for v in values]
+        if any(remainder for row in pairs for _, remainder in row):
+            raise ArithmeticError(f"inexact division in Z[zeta_{divisor.ctx.p}]: "
+                                  "the quotient is not in the ring")
+        return [_element(divisor.ctx, [quotient for quotient, _ in row]) for row in pairs]
+    return divide
 
 
 def _pack(nums: Sequence[int], width: int) -> int:
@@ -271,24 +277,18 @@ def _pack(nums: Sequence[int], width: int) -> int:
 
 
 class CycloElement:
-    """One value of Q(zeta_p): integer numerators over one positive denominator."""
+    """One value of Z[zeta_p]: its integer power-basis coefficients."""
 
-    __slots__ = ("ctx", "numerators", "denominator")
+    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: GaloisContext, coeffs: Iterable[Scalar]) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != ctx.m:
-            raise ValueError(f"expected {ctx.m} coefficients, got {len(cs)}")
-        den = math.lcm(*[c.denominator for c in cs])
+    def __init__(self, ctx: GaloisContext, coeffs: Iterable[int]) -> None:
+        nums = tuple(coeffs)
+        if len(nums) != ctx.m:
+            raise ValueError(f"expected {ctx.m} coefficients, got {len(nums)}")
+        if not all(map(_is_int, nums)):
+            raise TypeError("coefficients must be integers: elements lie in Z[zeta_p]")
         self.ctx = ctx
-        self.numerators = tuple([c.numerator * (den // c.denominator) for c in cs])
-        self.denominator = den
-
-    @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        """Power-basis coefficients, each in lowest terms (ints when integral)."""
-        d = self.denominator
-        return self.numerators if d == 1 else tuple(Fraction(v, d) for v in self.numerators)
+        self.coeffs = nums
 
     # -- coercion -------------------------------------------------------
 
@@ -299,7 +299,7 @@ class CycloElement:
                     f"context mismatch: p={self.ctx.p} vs p={other.ctx.p}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_int(other):
             return self.ctx.from_rational(other)
         return None
 
@@ -309,37 +309,32 @@ class CycloElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        da, db = self.denominator, rhs.denominator  # both 1 on Z[zeta]: no gcd
-        return _element(self.ctx, [x * db + y * da for x, y in
-                                   zip(self.numerators, rhs.numerators)], da * db)
+        return _element(self.ctx, map(operator.add, self.coeffs, rhs.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloElement:
-        return _element(self.ctx, [-v for v in self.numerators], self.denominator)
+        return _element(self.ctx, [-v for v in self.coeffs])
 
     def __sub__(self, other) -> CycloElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        da, db = self.denominator, rhs.denominator
-        return _element(self.ctx, [x * db - y * da for x, y in
-                                   zip(self.numerators, rhs.numerators)], da * db)
+        return _element(self.ctx, map(operator.sub, self.coeffs, rhs.coeffs))
 
     def __rsub__(self, other) -> CycloElement:
         return (-self) + other
 
     def __mul__(self, other) -> CycloElement:
-        if isinstance(other, (int, Fraction)):
-            return _element(self.ctx, [v * other.numerator for v in self.numerators],
-                            self.denominator * other.denominator)
+        if _is_int(other):
+            return _element(self.ctx, [v * other for v in self.coeffs])
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         m, p = self.ctx.m, self.ctx.p
         raw = [0] * (2 * m - 1)
-        bn = rhs.numerators
-        for i, a in enumerate(self.numerators):
+        bn = rhs.coeffs
+        for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(bn):
                     if b:
@@ -348,29 +343,14 @@ class CycloElement:
         tail = raw[m]
         high = raw[p:] + [0, 0]
         out = [lo + hi - tail for lo, hi in zip(raw, high)]
-        return _element(self.ctx, out, self.denominator * rhs.denominator)
+        return _element(self.ctx, out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloElement:
-        """Multiplicative inverse; inverting zero raises ZeroDivisionError.
-
-        The product c of the conjugates aut(1), ..., aut(m-1) satisfies
-        self * c = N(self), a nonzero rational, so the inverse is c / N(self).
-        c is aut(G(m-1)) for G(L) = self aut(self) ... aut^(L-1)(self), built
-        by doubling in about 2 log2(m) products: G(2L) = G(L) aut^L(G(L))
-        and G(L+1) = self aut(G(L)).
-        """
-        if not self:
-            raise ZeroDivisionError("zero has no inverse in Q(zeta_p)")
-        g, length = self, 1  # G(length), length running up the bits of m - 1
-        for bit in bin(self.ctx.m - 1)[3:]:
-            g, length = g * g.aut(length), 2 * length
-            if bit == "1":
-                g, length = self * g.aut(1), length + 1
-        conj = g.aut(1)
-        norm = self * conj  # rational: only numerators[0] is nonzero
-        return conj * Fraction(norm.denominator, norm.numerators[0])
+        """The inverse in Z[zeta_p], which only a unit (norm +-1) has: zero
+        raises ZeroDivisionError and any other non-unit ArithmeticError."""
+        return exact_divider(self)([self.ctx.one()])[0]
 
     # -- automorphism -----------------------------------------------------
 
@@ -381,51 +361,54 @@ class CycloElement:
         if e == 0:
             return self
         sources, tail_at = _aut_table(ctx.p, e)
-        nums = self.numerators
+        nums = self.coeffs
         out = sources(nums + (0,))  # index m reads the zero of zeta^(p-1)
         tail = nums[tail_at]  # sent to zeta^(p-1) = -(1 + ... + zeta^(p-2))
-        return _element(ctx, [v - tail for v in out] if tail else out, self.denominator)
+        return _element(ctx, [v - tail for v in out] if tail else out)
 
     # -- predicates and views ---------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.numerators)
+        return any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloElement):
             return NotImplemented
-        return (self.ctx.p == other.ctx.p and self.denominator == other.denominator
-                and self.numerators == other.numerators)
+        return self.ctx.p == other.ctx.p and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.numerators, self.denominator))
+        return hash((self.ctx.p, self.coeffs))
 
     # -- serialization ------------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Coefficients as "num/den" strings in lowest terms."""
-        if self.denominator == 1:
-            return [f"{v}/1" for v in self.numerators]
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        """Coefficients as "n/1" strings."""
+        return [f"{v}/1" for v in self.coeffs]
 
     @classmethod
     def from_strings(cls, ctx: GaloisContext, items: list[str]) -> CycloElement:
-        """Inverse of ``to_strings``; anything but a list of rational strings
-        raises ValueError."""
+        """Inverse of ``to_strings``.  A coefficient is read only as "n" or
+        "n/d", n and d each an optional minus sign and ASCII digits, with d
+        dividing n; anything else raises ValueError."""
         if not (isinstance(items, list) and all(isinstance(s, str) for s in items)):
             raise ValueError("an element must be a list of coefficient strings")
         if len(items) == ctx.m:
-            # Z[zeta] values are written "n/1": when the joined strings are
-            # exactly what to_strings writes, int() reads each n
+            # when the joined strings are exactly what to_strings writes,
+            # int() reads each n at once
             text = ",".join(items)
             if _INTEGRALS.fullmatch(text):
                 nums = text[:-2].split("/1,")
                 if len(nums) == ctx.m:  # no string held a comma of its own
                     return _element(ctx, list(map(int, nums)))
-        try:
-            return cls(ctx, [Fraction(s) for s in items])
-        except ZeroDivisionError as exc:
-            raise ValueError(f"coefficient with zero denominator: {exc}") from None
+        nums = []
+        for s in items:
+            match = _COEFFICIENT.fullmatch(s)
+            n, d = (int(match[1]), int(match[2] or 1)) if match else (1, 0)
+            if not d or n % d:  # a long string is shown by its first 40 characters
+                raise ValueError(f"coefficient {s[:40]!r} is not an integer n or n/d "
+                                 "with d dividing n")
+            nums.append(n // d)
+        return cls(ctx, nums)
 
     def __str__(self) -> str:
         terms = []

@@ -1,35 +1,35 @@
-"""Dense exact linear algebra over Q(zeta_p).
+"""Dense exact linear algebra over Z[zeta_p], whose ranks are those over Q(zeta_p).
 
 Every exact rank and determinant question goes through one fraction-free
 (Bareiss) elimination, ``_eliminate``, which keeps intermediate entries equal
 to minors of the input and so bounds coefficient blowup.  Only the per-row
-reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and a
-multiply by the inverse of the previous pivot over Q(zeta_p).  Zero tests
-compare canonical coefficient vectors, so they are exact.  The matrix
+reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and
+``cyclotomic.exact_divider`` of the previous pivot over Z[zeta_p].  Zero
+tests compare coefficient vectors, so they are exact.  The matrix
 product hands rows and columns to ``cyclotomic.dot_products``, which
 computes each entry as one packed big-integer sum of products, exact at any
 coefficient size.
 
 The transform rows (maximal minors of a Moore block) take no determinant:
-``bordered_minor_row`` builds them by condensation in O(k^2) field products.
+``bordered_minor_row`` builds them by condensation in O(k^2) ring products.
 
 ``ExactMatrix.rank`` is the one full-rank decision.  It eliminates the
 matrix's F_q image (``cyclotomic.fq_rows``) first: an image of rank
-min(rows, cols) proves that rank, because some maximal minor of the
-row-scaled matrix then has a nonzero image.  Any other outcome only means
-"unknown", and the exact elimination over Q(zeta_p) (``_exact_rank``) decides.
+min(rows, cols) proves that rank, because some maximal minor of the matrix
+then has a nonzero image.  Any other outcome only means "unknown", and the
+exact elimination over Z[zeta_p] (``_exact_rank``) decides.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycloElement, GaloisContext, dot_products, fq_rows
+from .cyclotomic import CycloElement, GaloisContext, dot_products, exact_divider, fq_rows
 from .supports import _int_field
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Q(zeta_p), entries stored row-major."""
+    """Immutable dense matrix over Z[zeta_p], entries stored row-major."""
 
     __slots__ = ("ctx", "rows", "cols", "entries", "_strings")
 
@@ -86,12 +86,12 @@ class ExactMatrix:
                            dot_products(self.ctx, self.row_lists(), cols))
 
     def det(self) -> CycloElement:
-        """Exact determinant of a square matrix."""
+        """Exact determinant of a square matrix, a value of Z[zeta_p]."""
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
         if not self.rows:  # _eliminate's signed last pivot is the int 1 here
             return self.ctx.one()
-        rank, last = _eliminate(self.row_lists(), _field_quotient)
+        rank, last = _eliminate(self.row_lists(), _cyclo_quotient)
         return last if rank == self.rows else self.ctx.zero()
 
     def rank(self) -> int:
@@ -140,7 +140,7 @@ class ExactMatrix:
 def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object]:
     """Rank and signed last pivot of a matrix given as rows (left unchanged).
 
-    Fraction-free elimination with row pivoting that skips pivot-free columns:
+    A fraction-free elimination with row pivoting that skips pivot-free columns:
     each row below the pivot becomes pivot * row - lead * pivot_row, right of
     the pivot column, passed through ``reducer(prev)``.  Exact division by
     the previous pivot ``prev`` (Bareiss) keeps every entry a minor of the
@@ -182,17 +182,15 @@ def _mod_reducer(q: int) -> Callable:
     return lambda prev: lambda row: [v % q for v in row]
 
 
-def _field_quotient(prev: CycloElement | None) -> Callable[[list], list]:
-    """Reducer over Q(zeta_p): one inverse per step, then a multiply per entry."""
-    if prev is None:
-        return lambda row: row
-    inv = prev.inverse()
-    return lambda row: [v * inv for v in row]
+def _cyclo_quotient(prev: CycloElement | None) -> Callable[[list], list]:
+    """Reducer over Z[zeta_p]: exact division by the previous pivot, whose
+    norm and conjugate product are computed once for all its rows."""
+    return (lambda row: row) if prev is None else exact_divider(prev)
 
 
 def _exact_rank(rows: Sequence[Sequence[CycloElement]]) -> int:
-    """Rank over Q(zeta_p) by the exact elimination alone, with no F_q attempt."""
-    return _eliminate(rows, _field_quotient)[0]
+    """Rank over Z[zeta_p] by the exact elimination alone, with no F_q attempt."""
+    return _eliminate(rows, _cyclo_quotient)[0]
 
 
 def bordered_minor_row(ctx: GaloisContext,
@@ -218,7 +216,8 @@ def bordered_minor_row(ctx: GaloisContext,
         if step == 1:
             c = [a.aut(1), points[0].aut(2) * x - points[0] * x.aut(2), a]
         else:
-            a_aut, inv = a.aut(1), lead.aut(1).inverse() if step else 1
+            a_aut = a.aut(1)
             shifted = [zero] + [e.aut(1) for e in c]
-            c = [(a * s - a_aut * e) * inv for s, e in zip(shifted, c + [zero])]
+            c = [a * s - a_aut * e for s, e in zip(shifted, c + [zero])]
+            c = exact_divider(lead.aut(1))(c) if step else c  # the first lead is 1
     return tuple([-e for e in c]) if len(points) % 2 else tuple(c)

@@ -168,10 +168,11 @@ def _groups(spec: SupportSpec) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def _matching_size(adjacency: list[int], columns: int, need: int) -> int:
-    """Size of a maximum matching between left vertices and column bits, by
-    Kuhn's augmenting paths, or ``need`` once a matching that large is found;
-    adjacency[u] is the column mask of vertex u, inside ``columns``.  The
-    search also stops once every column is matched."""
+    """Size of a maximum matching between left vertices and column bits, or
+    ``need`` once a matching that large is found; adjacency[u] is the column
+    mask of vertex u, inside ``columns``.  A greedy pass gives each vertex its
+    lowest free column, then Kuhn's augmenting paths start from the vertices
+    it leaves unmatched.  Both stop once every column is matched."""
     owner: dict[int, int] = {}  # matched column bit -> its left vertex
     taken = 0  # mask of the matched columns
     seen = 0  # matched columns already reached by the current search
@@ -195,7 +196,19 @@ def _matching_size(adjacency: list[int], columns: int, need: int) -> int:
         return False
 
     size = 0
-    for u in range(len(adjacency)):
+    waiting = []  # vertices the greedy pass leaves unmatched
+    for u, mask in enumerate(adjacency):  # greedy pass: the lowest free column
+        if size == need or taken == columns:
+            return size
+        free = mask & ~taken
+        if free:
+            bit = free & -free
+            taken |= bit
+            owner[bit] = u
+            size += 1
+        else:
+            waiting.append(u)
+    for u in waiting:  # Kuhn's search only from the vertices left over
         if size == need or taken == columns:
             break
         seen = 0

@@ -21,13 +21,13 @@ def ctx11():
     return CONTEXTS[11]
 
 
-def small_rationals():
-    return st.fractions(min_value=-9, max_value=9, max_denominator=9)
+def small_integers():
+    return st.integers(min_value=-9, max_value=9)
 
 
 def elements(p: int):
     ctx = CONTEXTS[p]
-    return st.lists(small_rationals(), min_size=ctx.m, max_size=ctx.m).map(ctx.element)
+    return st.lists(small_integers(), min_size=ctx.m, max_size=ctx.m).map(ctx.element)
 
 
 def any_context():

@@ -1,11 +1,11 @@
 """Independent oracles used to cross-check the library from a second route."""
 
 import cmath
-import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from cyclogab import CompletionError, ExactMatrix, SupportSpec, check_condition, linalg
+from cyclogab import (CompletionError, CycloElement, ExactMatrix, SupportSpec, check_condition,
+                      linalg)
 from cyclogab.cyclotomic import fq_rows
 from cyclogab.linalg import _eliminate, _mod_reducer
 
@@ -75,6 +75,9 @@ class FractionElement:
                     aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
         return FractionElement(self.ctx, [row[m] for row in aug])
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def fq_image(self):
         """Image under zeta -> omega in F_q of a value of Z[zeta], the domain
         of the map."""
@@ -90,19 +93,18 @@ class FractionElement:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
 
-def reference_aut(elem, e: int) -> tuple[tuple[int, ...], int]:
-    """Numerators and denominator, in lowest terms, of the image under
-    zeta -> zeta^(g^e), by the defining loop: each basis exponent i goes to
-    g^e * i mod p, and the coefficient landing on zeta^(p-1) is subtracted
-    from all the others."""
+def reference_aut(elem, e: int) -> tuple[int, ...]:
+    """Coefficients of the image under zeta -> zeta^(g^e), by the defining
+    loop: each basis exponent i goes to g^e * i mod p, and the coefficient
+    landing on zeta^(p-1) is subtracted from all the others."""
     ctx = elem.ctx
     e %= ctx.m
     if e == 0:
-        return elem.numerators, elem.denominator
+        return elem.coeffs
     shift = pow(ctx.g, e, ctx.p)
     out = [0] * ctx.m
     tail = 0  # accumulated coefficient of zeta^(p-1)
-    for i, c in enumerate(elem.numerators):
+    for i, c in enumerate(elem.coeffs):
         if not c:
             continue
         t = (shift * i) % ctx.p
@@ -110,9 +112,7 @@ def reference_aut(elem, e: int) -> tuple[tuple[int, ...], int]:
             out[t] += c
         else:
             tail += c
-    out = [v - tail for v in out]
-    g = math.gcd(elem.denominator, *out)
-    return tuple(v // g for v in out), elem.denominator // g
+    return tuple(v - tail for v in out)
 
 
 def zeta(ctx, power: int = 1):
@@ -397,8 +397,9 @@ def enumerated_required_dimension(spec: SupportSpec) -> int:
 
 def gaussian_rank(rows) -> int:
     """Rank by textbook Gaussian elimination with field division; entries are
-    Fractions or field elements (divided through their ``inverse``)."""
-    rows = [list(row) for row in rows]
+    Fractions or elements, which are divided as ``FractionElement``s."""
+    rows = [[FractionElement(e.ctx, e.coeffs) if isinstance(e, CycloElement) else e
+             for e in row] for row in rows]
     rank = 0
     cols = len(rows[0]) if rows else 0
     for c in range(cols):

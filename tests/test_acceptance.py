@@ -91,7 +91,9 @@ def test_criterion_4_independence_test_suite():
         rng = random.Random(9_000 + i)
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        triple = [pts[0], pts[1], pts[0] * a + pts[1] * b]
+        # a x0 + b x1 times the common denominator: an integral point
+        scale = a.denominator * b.denominator
+        triple = [pts[0], pts[1], pts[0] * int(a * scale) + pts[1] * int(b * scale)]
         top_minor_zero = not moore_matrix(triple, 3).det()
         full_rank_drop = moore_matrix(triple, ctx.m).rank() < 3
         if top_minor_zero and full_rank_drop:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclogab
-from cyclogab import ConstructionResult, ExactMatrix, cli, gmmds, linalg, supports
+from cyclogab import ConstructionResult, ExactMatrix, cli, gmmds, supports
 from cyclogab.cli import main
 
 
@@ -508,18 +508,19 @@ def test_certify_rejects_tampered_result(capsys, good_spec, tmp_path):
 
 
 def test_certify_integers_spelled_otherwise(capsys, tmp_path):
-    # "n/1" coefficients spelled in ways int() or Fraction() accept but
-    # to_strings never writes load by the Fraction path to the same values,
-    # so the stored result certifies as the built one did
+    # integers spelled "n" or "n/d" in ways to_strings never writes (leading
+    # zeros, "-0", no denominator, d dividing n, a negative d) load to the
+    # same values, so the stored result certifies as the built one did
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, ["construct", "--prime", "13", "--n", "7", "--k", "3",
                               "--epsilon", "0.01", "--seed", "5", "--out", str(out_dir)])
     assert code == 0
     obj = json.loads((out_dir / "result.json").read_text())
-    spellings = [lambda v: f"+{v}/1" if v > 0 else f"-0{-v}/1" if v else "-0/1",
-                 lambda v: f" {v}/1", lambda v: f"{v}/01", lambda v: f"{v}/1"]
+    spellings = [lambda v: f"0{v}/1" if v > 0 else f"-0{-v}/1" if v else "-0/1",
+                 lambda v: f"{v}", lambda v: f"{v}/01", lambda v: f"{6 * v}/6",
+                 lambda v: f"{-v}/-1"]
     for name in ("moore", "transform", "generator"):
-        obj[name]["entries"] = [[spellings[i % 4](int(s[:-2])) for i, s in enumerate(entry)]
+        obj[name]["entries"] = [[spellings[i % 5](int(s[:-2])) for i, s in enumerate(entry)]
                                 for entry in obj[name]["entries"]]
     assert obj["transform"]["entries"][0][0] != json.loads(
         (out_dir / "result.json").read_text())["transform"]["entries"][0][0]
@@ -560,21 +561,31 @@ def test_certify_singular_transform_fails(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
-def test_certify_transform_row_over_q_needs_no_exact_elimination(capsys, tmp_path, monkeypatch):
-    # T's row 0 divided by q: the row-scaled F_q images of T and of G are
-    # those of the build, so they prove T and every minor of the sweep, and
-    # only the generator's digest changes
-    def over_q(ctx, rows):
-        return [[e * Fraction(1, ctx.modulus) for e in rows[0]]] + rows[1:]
+def stored_with_string(capsys, tmp_path, name, text):
+    """The (13, 7, 3) result of ``stored_with_transform`` with the first
+    coefficient string of matrix ``name`` replaced by ``text``."""
+    path, _ = stored_with_transform(capsys, tmp_path, lambda ctx, rows: rows)
+    obj = json.loads(Path(path).read_text())
+    obj[name]["entries"][0][0] = text
+    Path(path).write_text(json.dumps(obj), encoding="utf-8")
+    return path
 
-    path, built = stored_with_transform(capsys, tmp_path, over_q)
-    monkeypatch.setattr(linalg, "_field_quotient",
-                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
-    code, out, _ = run(capsys, ["certify", path])
-    assert code == 0
-    got, want = json.loads(out), json.loads(built)
-    assert got.pop("matrix_sha256") != want.pop("matrix_sha256")
-    assert got == want and got["checked_minors"] == 35
+
+@pytest.mark.parametrize("name", ["transform", "moore", "generator"])
+@pytest.mark.parametrize("text", ["1e100000000", "1/q", "7/2", "+3/1", "1/0"])
+def test_certify_refuses_a_coefficient_that_is_not_an_integer(capsys, tmp_path, name, text):
+    # a stored coefficient is "n" or "n/d" with d dividing n, nothing else:
+    # an exponent is refused at once rather than expanded, and a value
+    # outside Z[zeta] (1/q, 7/2) is refused, with the file and matrix named
+    if text == "1/q":
+        text = f"1/{cyclogab.GaloisContext(13).modulus}"
+    path = stored_with_string(capsys, tmp_path, name, text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["certify", path])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"{path}: matrix '{name}': coefficient" in err
+    assert "is not an integer n or n/d with d dividing n" in err
 
 
 def test_construct_byte_identical_reruns(capsys, good_spec, tmp_path):

@@ -1,8 +1,6 @@
-"""The F_q nonzero proofs: ring map, false zeros, row-scaled images of
-entries with denominators, and agreement of the fast and exact routes,
+"""The F_q nonzero proofs: ring map, false zeros, rows whose image keeps one
+entry of many, and agreement of the fast and exact routes,
 ``ExactMatrix.rank`` included."""
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,9 +29,11 @@ def false_zero(ctx):
     return zeta(ctx, 1) - omega(ctx)
 
 
-def q_denominator(ctx):
-    """1/q + zeta: nonzero, and a row holding it is scaled by q for its image."""
-    return ctx.element([Fraction(1, ctx.modulus), 1] + [0] * (ctx.m - 2))
+def q_scaled(ctx, row, c):
+    """The row times q with entry c set to 1 + q zeta: every other entry maps
+    to zero in F_q, so the image is a unit vector that hides the row."""
+    q = ctx.modulus
+    return [ctx.one() + zeta(ctx, 1) * q if j == c else e * q for j, e in enumerate(row)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -97,18 +97,18 @@ def test_false_zero_in_the_sweep(ctx5):
     assert hamming_distance(h) == brute_hamming_distance(h) == 1
 
 
-def test_denominator_divisible_by_q_has_a_row_scaled_image(ctx5, monkeypatch):
-    # row 0 is scaled by its denominator q into Z[zeta]: 1 + q zeta and q
-    e, q = q_denominator(ctx5), ctx5.modulus
-    one = ctx5.one()
-    rows = [[e, one], [one, one]]
-    assert fq_rows(ctx5, rows) == fq_rows(ctx5, [[e * q, one * q], [one, one]]) == [[1, 0], [1, 1]]
+def test_row_scaled_by_q_keeps_one_entry_in_its_image(ctx5, monkeypatch):
+    # row 0 is scaled by q around column 0: 1 + q zeta and q map to 1 and 0
+    one, q = ctx5.one(), ctx5.modulus
+    rows = [q_scaled(ctx5, [one, one], 0), [one, one]]
+    e = rows[0][0]
+    assert fq_rows(ctx5, rows) == [[1, 0], [1, 1]]
     assert proves_full_row_rank(fq_rows(ctx5, rows), q)
     assert ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]).rank() == 1
-    g = ExactMatrix.from_rows(ctx5, [[e, one, one], [one, one, e]])
+    g = ExactMatrix.from_rows(ctx5, [q_scaled(ctx5, [one] * 3, 0), [one, one, e]])
     assert hamming_distance(g) == brute_hamming_distance(g)
-    monkeypatch.setattr(linalg, "_field_quotient",
-                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
+    monkeypatch.setattr(linalg, "_cyclo_quotient",
+                        lambda prev: pytest.fail("exact elimination over Z[zeta_p] ran"))
     assert ExactMatrix.from_rows(ctx5, rows).rank() == 2
 
 
@@ -118,17 +118,17 @@ def test_independence_fallbacks(ctx5):
     # coordinates (0, q, 0, 0) vanish mod q but the points are independent
     assert is_independent([one, z * q])
     assert not is_independent([one, z * q, one + z])
-    e = q_denominator(ctx5)
+    e = one + z * q
     assert is_independent([one, e])
     assert not is_independent([e, e * 3])
 
 
 def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
-    # an image of full rank is the proof: no elimination over Q(zeta_p) runs
+    # an image of full rank is the proof: no elimination over Z[zeta_p] runs
     pts = sample_points(ctx11, 5, 1000, seed=2)
     m = moore_matrix(pts, 5)
-    monkeypatch.setattr(linalg, "_field_quotient",
-                        lambda prev: pytest.fail("exact elimination over Q(zeta_p) ran"))
+    monkeypatch.setattr(linalg, "_cyclo_quotient",
+                        lambda prev: pytest.fail("exact elimination over Z[zeta_p] ran"))
     assert m.rank() == 5
     wide = ExactMatrix(ctx11, 3, 5, m.entries[:15])
     assert wide.rank() == 3 and transpose(wide).rank() == 3
@@ -137,8 +137,9 @@ def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
 
 @st.composite
 def rank_matrices(draw):
-    """r x c matrices, r and c in 0..4, with a false zero mod q, an entry
-    with q in its denominator, and planted dependent rows and columns."""
+    """r x c matrices, r and c in 0..4, with a false zero mod q, a row
+    scaled by q around one entry (``q_scaled``), and planted dependent rows
+    and columns."""
     ctx = CONTEXTS[draw(st.sampled_from([5, 7]))]
     r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     small = st.lists(st.integers(min_value=-2, max_value=2), min_size=ctx.m, max_size=ctx.m)
@@ -146,7 +147,8 @@ def rank_matrices(draw):
     if r and c and draw(st.booleans()):  # planted first, so copies carry them
         rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = false_zero(ctx)
     if r and c and draw(st.integers(0, 3)) == 0:
-        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = q_denominator(ctx)
+        i = draw(st.integers(0, r - 1))
+        rows[i] = q_scaled(ctx, rows[i], draw(st.integers(0, c - 1)))
     if r >= 2 and draw(st.booleans()):  # a row that is a multiple of another
         a, b = draw(st.permutations(range(r)))[:2]
         factor = ctx.element(draw(small))
@@ -162,7 +164,7 @@ def rank_matrices(draw):
 @example(ExactMatrix(CONTEXTS[5], 0, 3, []))
 @example(ExactMatrix(CONTEXTS[5], 1, 1, [CONTEXTS[5].zero()]))
 @example(ExactMatrix(CONTEXTS[5], 1, 1, [false_zero(CONTEXTS[5])]))
-@example(ExactMatrix(CONTEXTS[5], 1, 1, [q_denominator(CONTEXTS[5])]))
+@example(ExactMatrix.from_rows(CONTEXTS[5], [q_scaled(CONTEXTS[5], [CONTEXTS[5].one()] * 2, 1)]))
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_gaussian_elimination(matrix):
     want = gaussian_rank(matrix.row_lists())

@@ -11,7 +11,7 @@ from cyclogab.certify import _distance_sweep
 from conftest import CONTEXTS
 from helpers import (brute_hamming_distance, reference_distance_sweep, refuse_rank_deficient,
                      zeta)
-from test_fastpath import false_zero, q_denominator
+from test_fastpath import false_zero, q_scaled
 
 
 def outcome(sweep, matrix, max_checks):
@@ -25,7 +25,7 @@ def outcome(sweep, matrix, max_checks):
 def sweep_matrices(draw):
     """k x n matrices, k in 1..6, with planted zero columns, dependent columns,
     common zero columns (their code is a subcode, so the sweep ends past
-    s = k), a false zero mod q and an entry with q in its denominator."""
+    s = k), a false zero mod q and a row scaled by q around one entry."""
     ctx = CONTEXTS[draw(st.sampled_from([5, 7]))]
     k = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=k, max_value=k + (3 if k <= 4 else 2)))
@@ -47,7 +47,8 @@ def sweep_matrices(draw):
     if draw(st.booleans()):
         rows[draw(st.integers(0, k - 1))][draw(cols)] = false_zero(ctx)
     if k <= 3 and draw(st.integers(0, 4)) == 0:
-        rows[draw(st.integers(0, k - 1))][draw(cols)] = q_denominator(ctx)
+        i = draw(st.integers(0, k - 1))
+        rows[i] = q_scaled(ctx, rows[i], draw(cols))
     return ExactMatrix.from_rows(ctx, rows)
 
 
@@ -88,10 +89,10 @@ def false_zero_pair(ctx):
 
 
 def no_image(ctx):
-    # q in a denominator: row 0 is scaled by q, so its image is (0, 1, 0, 0)
-    # and the three subsets that miss column 1 are decided exactly
+    # row 0 is scaled by q around column 1, so its image is (0, 1, 0, 0) and
+    # the three subsets that miss column 1 are decided exactly
     one = ctx.one()
-    return [[one, q_denominator(ctx), one, ctx.zero()], [one, one, zeta(ctx, 1), one]]
+    return [q_scaled(ctx, [one, one, one, ctx.zero()], 1), [one, one, zeta(ctx, 1), one]]
 
 
 def test_same_exact_calls_as_reference(monkeypatch):
@@ -115,7 +116,7 @@ def rank_deficient_matrices(ctx):
     return {
         "all zero": [[zero] * 4] * 2,
         "repeated row": [row, [one] * 4, row],
-        "repeated row with no image": [[q_denominator(ctx), one, z, one]] * 2,
+        "repeated row with no image": [q_scaled(ctx, [one, one, z, one], 0)] * 2,
         "k > n": [[one, z], [z, one], [one, one]],
     }
 
