@@ -1,10 +1,10 @@
 """Support-constrained Gabidulin generator matrices over Q(zeta_p).
 
 Builds generator matrices with prescribed zero entries over prime-conductor
-cyclotomic fields, entirely in exact rational arithmetic, certifies the
-results (support, invertibility, point independence, Hamming distance), and
-cross-validates the combinatorial feasibility condition against a polynomial
-determinant oracle.
+cyclotomic fields, entirely in exact integer arithmetic in Z[zeta_p],
+certifies the results (support, invertibility, point independence, Hamming
+distance), and cross-validates the combinatorial feasibility condition
+against a polynomial determinant oracle.
 """
 
 from .cyclotomic import CycloElement, GaloisContext

@@ -31,8 +31,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .construction import ConstructionResult, construct, is_independent
 from .linalg import ExactMatrix, _exact_rank
@@ -48,8 +47,7 @@ def _sha256_of(obj: dict) -> str:
     ).hexdigest()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Exactly checked premises plus the distance claims they support.
 
     ``claimed_rank_distance`` is only set together with ``rank_distance_basis``
@@ -79,7 +77,7 @@ class Certificate:
         return self.claimed_rank_distance == self.hamming_distance
 
     def to_obj(self) -> dict:
-        return {**vars(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_support(matrix: ExactMatrix, spec: SupportSpec) -> bool:
@@ -222,8 +220,7 @@ def certify_mrd(result: ConstructionResult, check_minors: bool = True) -> Certif
                     "gabidulin-theorem", None, check_minors)
 
 
-@dataclass(frozen=True)
-class SubcodeResult:
+class SubcodeResult(NamedTuple):
     """A k-row generator cut from a higher-dimensional build, certified."""
 
     generator: ExactMatrix
@@ -251,7 +248,7 @@ def build_subcode(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     ell = required_dimension(spec)
     if ell <= spec.k:
         result = construct(spec, ctx, s_size, seed, max_retries)
-        cert = replace(certify_mrd(result, check_minors), ell=ell)
+        cert = certify_mrd(result, check_minors)._replace(ell=ell)
         return SubcodeResult(result.generator, cert, result)
     if ell > spec.n:
         raise ValueError(

@@ -78,6 +78,8 @@ def _read_json(path: str) -> object:
             return json.load(fh)
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_spec(args: argparse.Namespace) -> SupportSpec:
@@ -296,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RetriesExhausted as exc:

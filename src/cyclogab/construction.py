@@ -21,13 +21,12 @@ import decimal
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .cyclotomic import CycloElement, GaloisContext, _element
 from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row
-from .supports import (SupportSpec, _check_shape, _int_field, _is_int, _is_int_rows,
+from .supports import (SupportSpec, _check_shape, _int_field, _is_int, _is_int_rows, _Record,
                        check_condition, complete_sets)
 
 
@@ -145,8 +144,7 @@ def is_independent(points: Sequence[CycloElement]) -> bool:
     return _eliminate(rows, _int_quotient)[0] == len(rows)
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(_Record):
     """Outcome of a successful build.  ``moore`` is the automorphism orbit of
     the points and ``generator`` is exactly transform @ moore; both are
     derived on creation, never passed in.  The draw is recorded once: the
@@ -161,25 +159,29 @@ class ConstructionResult:
     seed: int
     max_retries: int
     retries: int
-    moore: ExactMatrix = field(init=False)
-    generator: ExactMatrix = field(init=False)
+    moore: ExactMatrix
+    generator: ExactMatrix
+    _fields = ("spec", "completed", "points", "transform", "s_size", "seed", "max_retries",
+               "retries")
 
-    def __post_init__(self) -> None:
-        n, k = self.spec.n, self.spec.k
-        if (self.transform.rows, self.transform.cols) != (k, k) \
-                or len(self.points) != n:
+    def __init__(self, spec: SupportSpec, completed: SupportSpec,
+                 points: tuple[CycloElement, ...], transform: ExactMatrix, s_size: int,
+                 seed: int, max_retries: int, retries: int) -> None:
+        n, k = spec.n, spec.k
+        if (transform.rows, transform.cols) != (k, k) or len(points) != n:
             raise ValueError("inconsistent shapes in construction result")
-        if any(not all(0 <= v < self.s_size for v in x.coeffs) for x in self.points):
+        if any(not all(0 <= v < s_size for v in x.coeffs) for x in points):
             raise ValueError("point coordinates must be integers in [0, s_size)")
-        if not (self.completed.is_completed()
-                and all(a <= b for a, b in zip(self.spec.zeros, self.completed.zeros))):
+        if not (completed.is_completed()
+                and all(a <= b for a, b in zip(spec.zeros, completed.zeros))):
             raise ValueError("completed pattern must extend the input to k-1 zeros per row")
-        if not 0 <= self.retries <= self.max_retries:
-            raise ValueError(f"retries must lie in [0, max_retries = {self.max_retries}], "
-                             f"got {self.retries}")
-        moore = moore_matrix(self.points, k)
-        object.__setattr__(self, "moore", moore)
-        object.__setattr__(self, "generator", self.transform @ moore)
+        if not 0 <= retries <= max_retries:
+            raise ValueError(f"retries must lie in [0, max_retries = {max_retries}], "
+                             f"got {retries}")
+        moore = moore_matrix(points, k)
+        vars(self).update(spec=spec, completed=completed, points=points, transform=transform,
+                          s_size=s_size, seed=seed, max_retries=max_retries, retries=retries,
+                          moore=moore, generator=transform @ moore)
 
     def to_obj(self) -> dict:
         return {

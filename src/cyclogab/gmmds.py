@@ -32,8 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import _eliminate, _int_quotient, _mod_reducer
 from .supports import SupportSpec, _check_shape, check_condition
@@ -74,8 +73,7 @@ def _proves_zero(spec: SupportSpec, omega: frozenset[int]) -> bool:
     return len(common) + len(omega) > spec.k
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Outcome of one oracle run next to the combinatorial check."""
 
     condition: bool

@@ -37,7 +37,6 @@ so the count bound is decided from their number before any list is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
@@ -52,13 +51,42 @@ class CompletionError(RuntimeError):
     precondition, not a property of the input."""
 
 
-@dataclass(frozen=True)
-class SupportSpec:
+class _Record:
+    """Value semantics over the fields named in ``_fields``: records of one
+    class with equal fields are equal and hash alike, the repr names the class
+    and its fields, and assigning or deleting an attribute raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class SupportSpec(_Record):
     """Zero pattern: k row sets of 1-based column indices inside [1, n]."""
 
     n: int
     k: int
     zeros: tuple[frozenset[int], ...]
+    _fields = ("n", "k", "zeros")
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
         self._set(n, k, tuple([frozenset(map(int, z)) for z in zeros]))
@@ -71,9 +99,7 @@ class SupportSpec:
         for i, z in enumerate(zs, start=1):
             if z and (min(z) < 1 or max(z) > n):
                 raise ValueError(f"row {i} has columns outside [1, {n}]")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "zeros", zs)
+        vars(self).update(n=int(n), k=int(k), zeros=zs)
 
     def to_obj(self) -> dict:
         return {"n": self.n, "k": self.k, "zeros": [sorted(z) for z in self.zeros]}

@@ -4,8 +4,8 @@ import cmath
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from cyclogab import (CompletionError, CycloElement, ExactMatrix, SupportSpec, check_condition,
-                      linalg)
+from cyclogab import (CompletionError, ConstructionResult, CycloElement, ExactMatrix, SupportSpec,
+                      check_condition, linalg)
 from cyclogab.cyclotomic import fq_rows
 from cyclogab.linalg import _eliminate, _mod_reducer
 
@@ -119,6 +119,13 @@ def zeta(ctx, power: int = 1):
     """zeta^power in the power basis; zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
     t = power % ctx.p
     return ctx.element([-1] * ctx.m if t == ctx.m else [int(i == t) for i in range(ctx.m)])
+
+
+def rebuild_result(result: ConstructionResult, **changes) -> ConstructionResult:
+    """``result`` with the named fields changed, built again through the
+    constructor, so its checks run and moore and generator are derived anew."""
+    fields = {name: getattr(result, name) for name in result._fields}
+    return ConstructionResult(**{**fields, **changes})
 
 
 def identity(ctx, n: int) -> ExactMatrix:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import cyclogab
 from cyclogab import ConstructionResult, ExactMatrix, cli, gmmds, supports
 from cyclogab.cli import main
+from helpers import rebuild_result
 
 
 def write_spec(path, obj):
@@ -373,6 +373,23 @@ def test_deeply_nested_json_refused(capsys, tmp_path, command):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"n": 4,\n', "Expecting property name enclosed in double quotes: line 2 column 1"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff")], ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("command", [
+    ["check", "--zeros"], ["oracle", "--zeros"],
+    ["construct", "--prime", "5", "--epsilon", "0.01", "--zeros"],
+    ["subcode", "--prime", "5", "--epsilon", "0.01", "--zeros"], ["certify"]],
+    ids=["check", "oracle", "construct", "subcode", "certify"])
+def test_malformed_json_names_the_file(capsys, tmp_path, command, content, reason):
+    # the decoder's message alone does not say which input file is broken
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command + [str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {reason}")
+
+
 def test_repeated_calls_leave_nothing_behind(capsys, good_spec, tmp_path):
     # json's indent encoder leaves reference cycles on every call; the
     # ordinary collector frees them, so in-process calls hold no memory
@@ -542,7 +559,7 @@ def stored_with_transform(capsys, tmp_path, edit):
     obj = json.loads((out_dir / "result.json").read_text())
     result = ConstructionResult.from_obj(obj)
     rows = edit(result.moore.ctx, result.transform.row_lists())
-    edited = dataclasses.replace(result, transform=ExactMatrix.from_rows(result.moore.ctx, rows))
+    edited = rebuild_result(result, transform=ExactMatrix.from_rows(result.moore.ctx, rows))
     path = tmp_path / "edited.json"
     path.write_text(json.dumps({**edited.to_obj(), "epsilon": obj["epsilon"]}), encoding="utf-8")
     return str(path), (out_dir / "certificate.json").read_text()

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +10,7 @@ from cyclogab import (ConstructionResult, ExactMatrix, RetriesExhausted,
                       sample_points, verify_support)
 from cyclogab.construction import _parse_epsilon
 from conftest import CONTEXTS
-from helpers import coordinate_rank, identity, zeta
+from helpers import coordinate_rank, identity, rebuild_result, zeta
 
 
 def test_required_sample_size_values():
@@ -179,11 +178,11 @@ def test_result_checks_point_coordinates(ctx11):
     # every coordinate of a drawn point is an integer in [0, s_size)
     result = construct(STAIRCASE, ctx11, 1200, seed=1)
     top = ctx11.element([1199] * ctx11.m)
-    assert replace(result, points=result.points[:-1] + (top,)).points[-1] == top
+    assert rebuild_result(result, points=result.points[:-1] + (top,)).points[-1] == top
     for bad in [ctx11.element([1200] + [0] * (ctx11.m - 1)),
                 ctx11.element([-1] + [0] * (ctx11.m - 1))]:
         with pytest.raises(ValueError, match=r"integers in \[0, s_size\)"):
-            replace(result, points=result.points[:-1] + (bad,))
+            rebuild_result(result, points=result.points[:-1] + (bad,))
 
 
 def test_construct_row_space_preserved(ctx11):
