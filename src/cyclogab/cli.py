@@ -19,6 +19,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Callable
 
 from .certify import DEFAULT_MAX_CHECKS, Certificate, build_subcode, certify_mrd
 from .construction import ConstructionResult, RetriesExhausted, construct, required_sample_size
@@ -72,19 +73,22 @@ def _json(value: object, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _read_json(path: str) -> object:
+def _load(path: str, from_obj: Callable[[object], object]) -> object:
+    """``from_obj`` of the JSON in file ``path``; any input error is a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return from_obj(json.load(fh))
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_spec(args: argparse.Namespace) -> SupportSpec:
     if args.zeros is not None:
-        spec = SupportSpec.from_obj(_read_json(args.zeros))
+        spec = _load(args.zeros, SupportSpec.from_obj)
         if args.n is not None and args.n != spec.n:
             raise ValueError(f"--n {args.n} does not match the pattern file (n={spec.n})")
         if args.k is not None and args.k != spec.k:
@@ -170,13 +174,7 @@ def cmd_subcode(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    obj = _read_json(args.result)
-    try:
-        result = ConstructionResult.from_obj(obj)
-    except KeyError as exc:
-        raise ValueError(f"{args.result}: missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{args.result}: {exc}") from None
+    result = _load(args.result, ConstructionResult.from_obj)
     spec = result.spec
     cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
     return _emit(args.out, cert, {})
@@ -195,9 +193,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     check_oracle_size(spec.n)
     if not spec.is_completed():
-        if not check_condition(spec)[0]:
-            raise ValueError("pattern is neither completed nor completable; "
-                             "the oracle needs k-1 zeros per row")
         spec = complete_sets(spec)
         print(f"note: pattern completed to {[sorted(z) for z in spec.zeros]}",
               file=sys.stderr)

@@ -138,19 +138,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_int_list(value) -> bool:
-    """True iff value is a list of integers; the common all-int case is one
-    set of types."""
-    return isinstance(value, list) and ({*map(type, value)} <= {int}
-                                        or all(map(_is_int, value)))
-
-
 def _is_int_rows(value) -> bool:
-    """True iff value is a list of lists of integers; the common case of
-    plain lists of plain integers is one set of types per level."""
-    return isinstance(value, list) and (
-        {*map(type, value)} <= {list} and {*map(type, chain.from_iterable(value))} <= {int}
-        or all(map(_is_int_list, value)))
+    """True iff value is a list of plain lists of plain integers, one set of
+    types per level: JSON decodes to no other list or int type, and a bool
+    or any other subclass is refused."""
+    return (isinstance(value, list) and {*map(type, value)} <= {list}
+            and {*map(type, chain.from_iterable(value))} <= {int})
 
 
 def _int_field(obj: dict, key: str) -> int:

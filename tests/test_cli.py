@@ -363,7 +363,9 @@ def test_bound_rejects_bad_shape(capsys, n, k):
     assert err == f"error: need 1 <= k <= n, got k={k}, n={n}\n"
 
 
-@pytest.mark.parametrize("command", [["check", "--zeros"], ["certify"]])
+@pytest.mark.parametrize("command", [
+    ["check", "--zeros"], ["certify"], ["oracle", "--zeros"],
+    ["subcode", "--prime", "5", "--epsilon", "0.01", "--zeros"]])
 def test_deeply_nested_json_refused(capsys, tmp_path, command):
     # the JSON decoder recurses per level and would raise RecursionError
     path = tmp_path / "deep.json"
@@ -373,16 +375,30 @@ def test_deeply_nested_json_refused(capsys, tmp_path, command):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
-@pytest.mark.parametrize("content, reason", [
-    (b'{"n": 4,\n', "Expecting property name enclosed in double quotes: line 2 column 1"),
-    (b"\xff{}", "'utf-8' codec can't decode byte 0xff")], ids=["truncated", "not-utf8"])
-@pytest.mark.parametrize("command", [
-    ["check", "--zeros"], ["oracle", "--zeros"],
-    ["construct", "--prime", "5", "--epsilon", "0.01", "--zeros"],
-    ["subcode", "--prime", "5", "--epsilon", "0.01", "--zeros"], ["certify"]],
-    ids=["check", "oracle", "construct", "subcode", "certify"])
+PATTERN_COMMANDS = {
+    "check": ["check", "--zeros"], "oracle": ["oracle", "--zeros"],
+    "construct": ["construct", "--prime", "5", "--epsilon", "0.01", "--zeros"],
+    "subcode": ["subcode", "--prime", "5", "--epsilon", "0.01", "--zeros"]}
+UNDECODABLE = {
+    "truncated": (b'{"n": 4,\n',
+                  "Expecting property name enclosed in double quotes: line 2 column 1"),
+    "not-utf8": (b"\xff{}", "'utf-8' codec can't decode byte 0xff")}
+MALFORMED_PATTERN = {
+    "n-not-int": (b'{"n": "x", "k": 2, "zeros": []}', "field 'n' must be an integer, got 'x'"),
+    "not-object": (b"[1]", "a pattern must be a JSON object with keys n, k and zeros"),
+    "column-out-of-range": (b'{"n": 4, "k": 2, "zeros": [[5], []]}',
+                            "row 1 has columns outside [1, 4]")}
+
+
+@pytest.mark.parametrize("command, content, reason", [
+    pytest.param(command, content, reason, id=f"{name}-{case}")
+    for name, command in {**PATTERN_COMMANDS, "certify": ["certify"]}.items()
+    for case, (content, reason) in UNDECODABLE.items()] + [
+    pytest.param(command, content, reason, id=f"{name}-{case}")
+    for name, command in PATTERN_COMMANDS.items()
+    for case, (content, reason) in MALFORMED_PATTERN.items()])
 def test_malformed_json_names_the_file(capsys, tmp_path, command, content, reason):
-    # the decoder's message alone does not say which input file is broken
+    # neither the decoder's message nor a field's says which input file is broken
     path = tmp_path / "broken.json"
     path.write_bytes(content)
     code, out, err = run(capsys, command + [str(path)])
@@ -752,9 +768,10 @@ def test_oracle_completes_underfull_pattern(capsys, tmp_path):
 def test_oracle_rejects_uncompletable_pattern(capsys, tmp_path):
     spec = write_spec(tmp_path / "stuck.json",
                       {"n": 4, "k": 3, "zeros": [[1, 2], [1, 2], []]})
-    code, _, err = run(capsys, ["oracle", "--zeros", spec])
-    assert code == 2
-    assert "error" in err
+    code, out, err = run(capsys, ["oracle", "--zeros", spec])
+    # complete_sets refuses the infeasible pattern as its first step
+    assert code == 2 and out == ""
+    assert err == "error: pattern must satisfy the support condition before completion\n"
 
 
 @pytest.mark.parametrize("argv, zeros, computations", [

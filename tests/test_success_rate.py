@@ -44,11 +44,13 @@ def test_bad_counts_refused_at_parse_time(capsys, argv, message):
     (["--zeros", "p63.json", "--n", "9"], "error: --n 9 does not match the pattern file (n=6)\n"),
     (["--prime", "7", "--n", "8"], "error: need n <= p-1 = 6, got n=8\n"),
     (["--prime", "12"], "error: conductor must be an odd prime, got 12\n"),
+    (["--zeros", "bad-n.json"], "error: bad-n.json: field 'n' must be an integer, got 'x'\n"),
 ])
 def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     (tmp_path / "p63.json").write_text(P63, encoding="utf-8")
+    (tmp_path / "bad-n.json").write_text('{"n": "x", "k": 2, "zeros": []}', encoding="utf-8")
     assert success_rate.main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
 

@@ -1,4 +1,5 @@
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -319,3 +320,36 @@ def test_spec_from_obj_equals_constructor(spec):
     loaded = SupportSpec.from_obj(obj)
     assert loaded == spec == SupportSpec(obj["n"], obj["k"], obj["zeros"])
     assert all(type(c) is int for z in loaded.zeros for c in z)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                | st.text(max_size=3))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                           max_leaves=12)
+
+
+def per_entry_int_rows(value):
+    # the per-entry test the type sets replace
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(c, int) and not isinstance(c, bool)
+                                      for c in row) for row in value)
+
+
+@given(JSON_VALUES | st.lists(st.lists(st.integers() | JSON_VALUES, max_size=4), max_size=4)
+       | st.lists(st.lists(st.integers(), max_size=4), max_size=4))
+def test_int_rows_agree_with_per_entry_check_on_json(value):
+    # JSON decodes to plain lists and ints only, where one set of types per
+    # level decides what a check of every entry decides
+    value = json.loads(json.dumps(value))
+    assert supports._is_int_rows(value) == per_entry_int_rows(value)
+
+
+def test_int_rows_refuse_int_subclasses():
+    # only a Python caller can pass one; it is refused, as a bool is
+    class Column(IntEnum):
+        FIRST = 1
+
+    assert not supports._is_int_rows([[Column.FIRST]])
+    with pytest.raises(ValueError, match="list of lists of integer columns"):
+        SupportSpec.from_obj({"n": 4, "k": 2, "zeros": [[Column.FIRST], []]})
