@@ -10,11 +10,11 @@ claim forces to be maximal as well, IS measured exactly through a sweep of
 column-subset ranks, giving a falsifiable consequence for every claim.
 
 Every full-rank verdict over Q(zeta_p) (T, each minor of the sweep) is
-proved either by an F_q image of full rank (``cyclotomic.fq_rows``) or by the
-exact elimination; any other image is always decided again exactly, so
+proved by an F_q image of full rank (``cyclotomic.fq_rows``) or by the
+exact ``_eliminate(rows)``; any other image is decided again exactly, so
 verdicts, ``checked_minors`` and the certificate bytes do not depend on the
 fast path.  q depends only on p and is not recorded.  Point independence is
-the exact rank over Z of the points' integer coordinates.
+the exact rank over Z of the points' integer coordinates, by the same call.
 
 The sweep reduces G to F_q once and walks the column subsets depth-first, so
 subsets sharing a prefix share its reduction and each subset of a
@@ -34,7 +34,7 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .construction import ConstructionResult, construct, is_independent
-from .linalg import ExactMatrix, _exact_rank
+from .linalg import ExactMatrix, _eliminate
 from .cyclotomic import GaloisContext, fq_rows
 from .supports import SupportSpec, required_dimension
 
@@ -148,7 +148,7 @@ def _distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int, int]:
             ann, left = anns[-1], s - len(prefix)
             if not left:  # a leaf whose image has rank below k: decide exactly
                 count(1)
-                if _exact_rank([[row[c] for c in prefix] for row in rows]) < k:
+                if _eliminate([[row[c] for c in prefix] for row in rows])[0] < k:
                     return False
             elif c <= n - left:
                 if len(ann) == 1 and sum(map(operator.mul, ann[0], columns[c])) % q:

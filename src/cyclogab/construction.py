@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .cyclotomic import CycloElement, GaloisContext, _element
-from .linalg import ExactMatrix, _eliminate, _int_quotient, bordered_minor_row
+from .linalg import ExactMatrix, _eliminate, bordered_minor_row
 from .supports import (SupportSpec, _check_shape, _int_field, _is_int, _is_int_rows, _Record,
                        check_condition, complete_sets)
 
@@ -141,7 +141,7 @@ def is_independent(points: Sequence[CycloElement]) -> bool:
     if not points:
         raise ValueError("need at least one point")
     rows = [x.coeffs for x in points]
-    return _eliminate(rows, _int_quotient)[0] == len(rows)
+    return _eliminate(rows)[0] == len(rows)
 
 
 class ConstructionResult(_Record):
@@ -281,6 +281,8 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     """
     if spec.n > ctx.m:
         raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={spec.n}")
+    if max_retries < 0:
+        raise ValueError(f"need max_retries >= 0, got {max_retries}")
     ok, witness = check_condition(spec)
     if not ok:
         raise ValueError(

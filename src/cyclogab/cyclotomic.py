@@ -205,8 +205,10 @@ def dot_products(ctx: GaloisContext, rows: Sequence[Sequence[CycloElement]],
     Every pair of basis exponents lands on exactly one of the p folded
     digits, so a folded digit is a sum of at most inner * m products, the
     same bound as an unfolded one: w bits hold it with its offset, and no
-    digit carries into the next.  Packing one product alone does not pay:
-    the unpack costs more than the schoolbook multiply it saves.
+    digit carries into the next.  A lone product stays schoolbook: packing it
+    wins on balanced operands, but ``exact_divider`` multiplies a small minor
+    by a product of m - 1 conjugates, and packing pads the small operand to
+    the large one's digit width, which slows whole builds down.
     """
     m, p = ctx.m, ctx.p
     lhs = [[e.coeffs for e in vec] for vec in rows]

@@ -17,9 +17,9 @@ nonzero value there is a nonzero verdict against the condition.
 
 Nonzero: a point, out of at most RANDOM_TRIALS uniform ones with coordinates
 in a set of size max(1, 50*k*(k-1)), where the matrix is nonsingular.  The
-integer matrix is first eliminated modulo the prime DET_MODULUS = 2^61 - 1,
-where full rank proves the value nonzero; any other outcome (q may divide a
-nonzero value) is decided by exact fraction-free elimination over Z.
+integer matrix is first eliminated mod the prime DET_MODULUS = 2^61 - 1 by
+``_eliminate(rows, DET_MODULUS)``, where full rank proves the value nonzero;
+any other outcome (q may divide it) is decided over Z by ``_eliminate(rows)``.
 
 Undecided (None): neither proof.  The determinant has total degree at most
 k*(k-1)/2, so a nonzero one vanishes at a point with probability at most
@@ -34,7 +34,7 @@ import math
 import random
 from typing import NamedTuple, Sequence
 
-from .linalg import _eliminate, _int_quotient, _mod_reducer
+from .linalg import _eliminate
 from .supports import SupportSpec, _check_shape, check_condition
 
 RANDOM_TRIALS = 16
@@ -58,10 +58,8 @@ def _det_nonzero_at(spec: SupportSpec, point: Sequence[int]) -> bool:
     """Whether the coefficient matrix is nonsingular at the integer point:
     proved by full rank mod DET_MODULUS, else decided by exact Bareiss."""
     rows = [_root_product([point[t - 1] for t in sorted(z)]) for z in spec.zeros]
-    q = DET_MODULUS
-    if _eliminate([[c % q for c in row] for row in rows], _mod_reducer(q))[0] == len(rows):
-        return True
-    return _eliminate(rows, _int_quotient)[0] == len(rows)
+    k = len(rows)
+    return _eliminate(rows, DET_MODULUS)[0] == k or _eliminate(rows)[0] == k
 
 
 def _proves_zero(spec: SupportSpec, omega: frozenset[int]) -> bool:

@@ -1,10 +1,11 @@
 """Dense exact linear algebra over Z[zeta_p], whose ranks are those over Q(zeta_p).
 
 Every exact rank and determinant question goes through one fraction-free
-(Bareiss) elimination, ``_eliminate``, which keeps intermediate entries equal
-to minors of the input and so bounds coefficient blowup.  Only the per-row
-reduction depends on the ring: exact ``//`` over Z, ``% q`` over F_q, and
-``cyclotomic.exact_divider`` of the previous pivot over Z[zeta_p].  Zero
+(Bareiss) elimination, ``_eliminate(rows, q=None)``, which keeps intermediate
+entries equal to minors of the input and so bounds coefficient blowup.  The
+call reads the ring from its arguments: with a prime q it reduces mod q,
+and without one it divides exactly by the previous pivot, by ``//`` for an
+``int`` and by ``cyclotomic.exact_divider`` for a ``CycloElement``.  Zero
 tests compare coefficient vectors, so they are exact.  The matrix
 product hands rows and columns to ``cyclotomic.dot_products``, which
 computes each entry as one packed big-integer sum of products, exact at any
@@ -17,15 +18,15 @@ The transform rows (maximal minors of a Moore block) take no determinant:
 matrix's F_q image (``cyclotomic.fq_rows``) first: an image of rank
 min(rows, cols) proves that rank, because some maximal minor of the matrix
 then has a nonzero image.  Any other outcome only means "unknown", and the
-exact elimination over Z[zeta_p] (``_exact_rank``) decides.
+exact elimination over Z[zeta_p] (``_eliminate(rows)``) decides.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import CycloElement, GaloisContext, dot_products, exact_divider, fq_rows
-from .supports import _int_field
+from .supports import _int_field, _require_int
 
 
 class ExactMatrix:
@@ -35,6 +36,7 @@ class ExactMatrix:
 
     def __init__(self, ctx: GaloisContext, rows: int, cols: int,
                  entries: Iterable[CycloElement]) -> None:
+        rows, cols = _require_int("rows", rows), _require_int("cols", cols)
         es = tuple(entries)
         if len(es) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(es)}")
@@ -91,15 +93,15 @@ class ExactMatrix:
             raise ValueError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
         if not self.rows:  # _eliminate's signed last pivot is the int 1 here
             return self.ctx.one()
-        rank, last = _eliminate(self.row_lists(), _cyclo_quotient)
+        rank, last = _eliminate(self.row_lists())
         return last if rank == self.rows else self.ctx.zero()
 
     def rank(self) -> int:
         """Exact rank; full rank is proved in F_q when the image has it."""
         rows, full = self.row_lists(), min(self.rows, self.cols)
-        if _eliminate(fq_rows(self.ctx, rows), _mod_reducer(self.ctx.modulus))[0] == full:
+        if _eliminate(fq_rows(self.ctx, rows), self.ctx.modulus)[0] == full:
             return full
-        return _exact_rank(rows)
+        return _eliminate(rows)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -137,17 +139,19 @@ class ExactMatrix:
                    [CycloElement.from_strings(ctx, item) for item in items])
 
 
-def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object]:
+def _eliminate(rows: Iterable[Sequence], q: int | None = None) -> tuple[int, object]:
     """Rank and signed last pivot of a matrix given as rows (left unchanged).
 
     A fraction-free elimination with row pivoting that skips pivot-free columns:
     each row below the pivot becomes pivot * row - lead * pivot_row, right of
-    the pivot column, passed through ``reducer(prev)``.  Exact division by
-    the previous pivot ``prev`` (Bareiss) keeps every entry a minor of the
-    input, so a square matrix of full rank ends with its determinant as the
-    signed last pivot; reducing mod a prime instead keeps only the rank.
+    the pivot column.  With a prime ``q`` the input and every new row are
+    reduced mod q, which keeps only the rank.  Without one, every new row is
+    divided exactly by the previous pivot (Bareiss): ``//`` for an ``int``
+    pivot, ``cyclotomic.exact_divider`` for a ``CycloElement``.  That keeps
+    every entry a minor of the input, so a square matrix of full rank ends
+    with its determinant as the signed last pivot.
     """
-    work = [list(row) for row in rows]
+    work = [[v % q for v in row] if q else list(row) for row in rows]
     nr = len(work)
     rank, sign, prev, last = 0, 1, None, 1
     for c in range(len(work[0]) if nr else 0):
@@ -159,7 +163,14 @@ def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object
             sign = -sign
         last = work[rank][c]
         if rank + 1 < nr:
-            reduce = reducer(prev)
+            if q:
+                reduce = lambda row: [v % q for v in row]
+            elif prev is None:
+                reduce = lambda row: row
+            elif isinstance(prev, CycloElement):
+                reduce = exact_divider(prev)  # the norm and conjugates, once for all rows
+            else:
+                reduce = lambda row: [v // prev for v in row]
             tail = work[rank][c + 1:]
             for i in range(rank + 1, nr):
                 lead = work[i][c]
@@ -170,27 +181,6 @@ def _eliminate(rows: Iterable[Sequence], reducer: Callable) -> tuple[int, object
         if rank == nr:
             break
     return rank, last if sign == 1 else -last
-
-
-def _int_quotient(prev: int | None) -> Callable[[list[int]], list[int]]:
-    """Reducer over Z: exact integer division by the previous pivot."""
-    return lambda row: row if prev is None else [v // prev for v in row]
-
-
-def _mod_reducer(q: int) -> Callable:
-    """Reducer over F_q: no division, since a unit pivot keeps the rank."""
-    return lambda prev: lambda row: [v % q for v in row]
-
-
-def _cyclo_quotient(prev: CycloElement | None) -> Callable[[list], list]:
-    """Reducer over Z[zeta_p]: exact division by the previous pivot, whose
-    norm and conjugate product are computed once for all its rows."""
-    return (lambda row: row) if prev is None else exact_divider(prev)
-
-
-def _exact_rank(rows: Sequence[Sequence[CycloElement]]) -> int:
-    """Rank over Z[zeta_p] by the exact elimination alone, with no F_q attempt."""
-    return _eliminate(rows, _cyclo_quotient)[0]
 
 
 def bordered_minor_row(ctx: GaloisContext,

@@ -42,6 +42,8 @@ from itertools import chain
 from typing import Iterable
 
 MAX_ROWS = 24  # input bound on k; the check itself is polynomial in k
+_ZEROS_TYPE_ERROR = "pattern field 'zeros' must be a list of lists of integer columns"
+_ROW_TYPES = {list, tuple, set, frozenset}  # rows that can be read twice
 _TABLE_WIDTH = 1024  # widest union of zero sets whose masks come from a table of 1 << j
 
 
@@ -89,17 +91,24 @@ class SupportSpec(_Record):
     _fields = ("n", "k", "zeros")
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
-        self._set(n, k, tuple([frozenset(map(int, z)) for z in zeros]))
-
-    def _set(self, n: int, k: int, zs: tuple[frozenset[int], ...]) -> None:
-        # check the shape, the row count and the column range, then fill the fields
+        # check the types (plain ints), the shape, the row count and the column range
+        n, k = _require_int("n", n), _require_int("k", k)
+        try:
+            rows = [*zeros]
+        except TypeError:  # zeros is not iterable
+            raise ValueError(_ZEROS_TYPE_ERROR) from None
+        if not ({*map(type, rows)} <= _ROW_TYPES
+                and {*map(type, chain.from_iterable(rows))} <= {int}):
+            raise ValueError(_ZEROS_TYPE_ERROR)
+        # a list first: tuple() over a map grows by resizing, which raised peak RSS
+        zs = tuple([frozenset(z) for z in rows])
         _check_shape(n, k)
         if len(zs) != k:
             raise ValueError(f"expected {k} zero sets, got {len(zs)}")
         for i, z in enumerate(zs, start=1):
             if z and (min(z) < 1 or max(z) > n):
                 raise ValueError(f"row {i} has columns outside [1, {n}]")
-        vars(self).update(n=int(n), k=int(k), zeros=zs)
+        vars(self).update(n=n, k=k, zeros=zs)
 
     def to_obj(self) -> dict:
         return {"n": self.n, "k": self.k, "zeros": [sorted(z) for z in self.zeros]}
@@ -110,12 +119,7 @@ class SupportSpec(_Record):
         lists of integer columns raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a pattern must be a JSON object with keys n, k and zeros")
-        n, k, zeros = _int_field(obj, "n"), _int_field(obj, "k"), obj.get("zeros")
-        if not _is_int_rows(zeros):
-            raise ValueError("pattern field 'zeros' must be a list of lists of integer columns")
-        spec = object.__new__(cls)
-        spec._set(n, k, tuple([frozenset(row) for row in zeros]))
-        return spec
+        return cls(obj.get("n"), obj.get("k"), obj.get("zeros"))
 
     def is_completed(self) -> bool:
         return all(len(z) == self.k - 1 for z in self.zeros)
@@ -146,12 +150,15 @@ def _is_int_rows(value) -> bool:
             and {*map(type, chain.from_iterable(value))} <= {int})
 
 
-def _int_field(obj: dict, key: str) -> int:
-    """obj[key] when it is an integer (not a bool, float or string), else ValueError."""
-    value = obj.get(key)
+def _require_int(key: str, value) -> int:
+    """value when it is an integer (not a bool, float or string), else ValueError."""
     if not _is_int(value):
         raise ValueError(f"field {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _int_field(obj: dict, key: str) -> int:
+    return _require_int(key, obj.get(key))
 
 
 def _column_mask(columns: Iterable[int], width: int) -> int:

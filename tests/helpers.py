@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from cyclogab import (CompletionError, ConstructionResult, CycloElement, ExactMatrix, SupportSpec,
                       check_condition, linalg)
 from cyclogab.cyclotomic import fq_rows
-from cyclogab.linalg import _eliminate, _mod_reducer
+from cyclogab.linalg import _eliminate
 
 
 def embed(elem, power: int = 1) -> complex:
@@ -474,10 +474,18 @@ def brute_hamming_distance(matrix: ExactMatrix) -> int:
     return n - widest
 
 
+def patch_exact_eliminate(monkeypatch, modules, fn) -> None:
+    """Send every exact ``_eliminate(rows)`` call (no modulus) that the modules
+    make to fn(rows); calls with a modulus run unchanged."""
+    for module in modules:
+        monkeypatch.setattr(module, "_eliminate",
+                            lambda rows, q=None: _eliminate(rows, q) if q else fn(rows))
+
+
 def proves_full_row_rank(image, q: int) -> bool:
     """True when an F_q image has full row rank: a proof that the exact
     matrix has full row rank.  False means unknown, never rank-deficient."""
-    return _eliminate(image, _mod_reducer(q))[0] == len(image)
+    return _eliminate(image, q)[0] == len(image)
 
 
 def refuse_rank_deficient(matrix: ExactMatrix) -> None:
@@ -492,7 +500,7 @@ def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int,
     """(distance, checks) of ``certify._distance_sweep`` by one F_q elimination
     per column subset: each size s visits its subsets in combinations order
     and stops at the first one whose columns of the matrix's image do not
-    prove full rank and whose exact rank (``linalg._exact_rank``, looked up
+    prove full rank and whose exact rank (``linalg._eliminate(rows)``, looked up
     at each call) is below k; the budget error fires at subset max_checks + 1.
     A rank-deficient matrix is refused first (``refuse_rank_deficient``), so
     here the budget error never hides that refusal."""
@@ -507,7 +515,7 @@ def reference_distance_sweep(matrix: ExactMatrix, max_checks: int) -> tuple[int,
             if checks > max_checks:
                 raise ValueError(f"column-subset budget {max_checks} exceeded")
             if not proves_full_row_rank([[row[c] for c in cols] for row in image], q) \
-                    and linalg._exact_rank(column_subset(matrix, cols).row_lists()) < k:
+                    and linalg._eliminate(column_subset(matrix, cols).row_lists())[0] < k:
                 break
         else:
             return n - s + 1, checks

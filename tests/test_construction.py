@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (ConstructionResult, ExactMatrix, RetriesExhausted,
-                      SupportSpec, construct, is_independent, moore_matrix, required_sample_size,
-                      sample_points, verify_support)
+from cyclogab import (ConstructionResult, ExactMatrix, RetriesExhausted, SupportSpec,
+                      build_subcode, construct, construction, is_independent, moore_matrix,
+                      required_sample_size, sample_points, verify_support)
 from cyclogab.construction import _parse_epsilon
 from conftest import CONTEXTS
 from helpers import coordinate_rank, identity, rebuild_result, zeta
@@ -235,6 +235,16 @@ def test_construct_retries_exhausted(ctx5):
     spec = SupportSpec(3, 2, [(), ()])
     with pytest.raises(RetriesExhausted):
         construct(spec, ctx5, 1, seed=0, max_retries=2)
+
+
+def test_negative_max_retries_refused_before_any_draw(ctx5, monkeypatch):
+    monkeypatch.setattr(construction, "sample_points",
+                        lambda *args: pytest.fail("a draw ran"))
+    feasible, infeasible = SupportSpec(3, 2, [(), ()]), SupportSpec(4, 2, [(1, 2), (1, 2)])
+    for build, spec in ((construct, feasible), (build_subcode, feasible),
+                        (build_subcode, infeasible)):
+        with pytest.raises(ValueError, match=r"need max_retries >= 0, got -1"):
+            build(spec, ctx5, 100, seed=0, max_retries=-1)
 
 
 def test_construct_retry_seed_counter(ctx5):

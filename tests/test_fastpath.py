@@ -12,7 +12,7 @@ from cyclogab.certify import _distance_sweep, hamming_distance
 from cyclogab.cyclotomic import fq_rows
 from conftest import CONTEXTS
 from helpers import (brute_hamming_distance, coordinate_rank, gaussian_rank,
-                     proves_full_row_rank, transpose, zeta)
+                     patch_exact_eliminate, proves_full_row_rank, transpose, zeta)
 
 
 def image(e):
@@ -107,8 +107,8 @@ def test_row_scaled_by_q_keeps_one_entry_in_its_image(ctx5, monkeypatch):
     assert ExactMatrix.from_rows(ctx5, [[e, e], [e, e]]).rank() == 1
     g = ExactMatrix.from_rows(ctx5, [q_scaled(ctx5, [one] * 3, 0), [one, one, e]])
     assert hamming_distance(g) == brute_hamming_distance(g)
-    monkeypatch.setattr(linalg, "_cyclo_quotient",
-                        lambda prev: pytest.fail("exact elimination over Z[zeta_p] ran"))
+    patch_exact_eliminate(monkeypatch, [linalg],
+                          lambda rows: pytest.fail("exact elimination over Z[zeta_p] ran"))
     assert ExactMatrix.from_rows(ctx5, rows).rank() == 2
 
 
@@ -127,8 +127,8 @@ def test_fast_path_skips_exact_determinants(ctx11, monkeypatch):
     # an image of full rank is the proof: no elimination over Z[zeta_p] runs
     pts = sample_points(ctx11, 5, 1000, seed=2)
     m = moore_matrix(pts, 5)
-    monkeypatch.setattr(linalg, "_cyclo_quotient",
-                        lambda prev: pytest.fail("exact elimination over Z[zeta_p] ran"))
+    patch_exact_eliminate(monkeypatch, [linalg],
+                          lambda rows: pytest.fail("exact elimination over Z[zeta_p] ran"))
     assert m.rank() == 5
     wide = ExactMatrix(ctx11, 3, 5, m.entries[:15])
     assert wide.rank() == 3 and transpose(wide).rank() == 3

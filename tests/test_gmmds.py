@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from cyclogab import (SupportSpec, check_condition, det_is_nonzero, gmmds, oracle_report,
                       sweep_agreement)
-from helpers import (SparsePoly, cofactor_det, evaluate, reference_det_nonzero,
-                     support_polynomial_matrix, symbolic_det, total_degree, violates)
+from cyclogab.linalg import _eliminate
+from helpers import (SparsePoly, cofactor_det, evaluate, patch_exact_eliminate,
+                     reference_det_nonzero, support_polynomial_matrix, symbolic_det,
+                     total_degree, violates)
 
 
 def test_sparse_poly_arithmetic():
@@ -285,8 +287,8 @@ def test_zero_mod_q_falls_back_to_exact(monkeypatch, zeros):
                               if exact_first_nonzero(spec, s)[1] % q == 0)
     monkeypatch.setattr(gmmds, "DET_MODULUS", q)
     exact_steps = []
-    real = gmmds._int_quotient
-    monkeypatch.setattr(gmmds, "_int_quotient", lambda prev: exact_steps.append(prev) or real(prev))
+    patch_exact_eliminate(monkeypatch, [gmmds],
+                          lambda rows: exact_steps.append(rows) or _eliminate(rows))
     nonzero, witness, _ = det_is_nonzero(spec, seed=seed)
     assert (nonzero, witness) == (point is not None, point)
     assert exact_steps

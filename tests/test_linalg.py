@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclogab import ExactMatrix, bordered_minor_row
-from cyclogab.linalg import _cyclo_quotient, _eliminate, _int_quotient, _mod_reducer
+from cyclogab.linalg import _eliminate
 from conftest import CONTEXTS, elements, small_integers
 from helpers import (FractionElement, bordered_minor_determinants, cofactor_det,
                      column_subset, coordinate_rank, gaussian_rank, identity, leibniz_det,
@@ -124,14 +124,13 @@ def test_eliminate_over_integers_and_fq(data):
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
     rows = shaped_rows(data.draw, entries, 5, lambda a, b: a + 2 * b)
     before = [row[:] for row in rows]
-    rank, last = _eliminate(rows, _int_quotient)
+    rank, last = _eliminate(rows)
     assert rows == before
     assert rank == gaussian_rank([[Fraction(v) for v in row] for row in rows])
     if rows and len(rows) == len(rows[0]):
         assert (last if rank == len(rows) else 0) == cofactor_det(rows, 1)
     for q in (2, 3, 7, CONTEXTS[5].modulus):
-        image = [[v % q for v in row] for row in rows]
-        assert _eliminate(image, _mod_reducer(q))[0] == rank_mod(rows, q)
+        assert _eliminate(rows, q)[0] == rank_mod(rows, q)
 
 
 @given(st.data())
@@ -142,10 +141,18 @@ def test_eliminate_over_cyclotomic(data):
     ctx = CONTEXTS[p]
     entries = st.one_of(st.just(ctx.zero()), elements(p))
     rows = shaped_rows(data.draw, entries, 5 if p == 5 else 4, lambda a, b: a - b * zeta(ctx, 2))
-    rank, last = _eliminate(rows, _cyclo_quotient)
+    rank, last = _eliminate(rows)
     assert rank == gaussian_rank(rows)
     if rows and len(rows) == len(rows[0]):
         assert (last if rank == len(rows) else ctx.zero()) == cofactor_det(rows, ctx.one())
+
+
+def test_eliminate_mod_q_reduces_its_input():
+    # every entry of column 0 is a multiple of 7: none may be a pivot mod 7
+    rows = [[7, 1, 2], [-14, 2, 11], [21, 3, 6]]
+    assert _eliminate(rows)[0] == 2
+    assert _eliminate(rows, 7) == (1, 1)
+    assert rank_mod(rows, 7) == 1
 
 
 def test_bordered_minor_row_k2(ctx5):
@@ -266,6 +273,12 @@ def test_matrix_serialization_round_trip(ctx5):
 def test_entry_context_enforced(ctx5, ctx7):
     with pytest.raises(ValueError):
         ExactMatrix(ctx5, 1, 1, [ctx7.one()])
+
+
+@pytest.mark.parametrize("rows, cols", [(1.0, 1), (1, True), ("1", 1)])
+def test_shape_must_be_integers(ctx5, rows, cols):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExactMatrix(ctx5, rows, cols, [ctx5.one()])
 
 
 def reference_matmul(lhs: ExactMatrix, rhs: ExactMatrix):

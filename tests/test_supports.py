@@ -298,6 +298,7 @@ ZEROS_TYPE = "pattern field 'zeros' must be a list of lists of integer columns"
     ({"n": 4, "k": 2}, ZEROS_TYPE),
     ({"n": 4, "k": 2, "zeros": [[1], [True]]}, ZEROS_TYPE),
     ({"n": 4, "k": 2, "zeros": [[1], [2.0]]}, ZEROS_TYPE),
+    ({"n": 4, "k": 2, "zeros": [[1, 1.0], []]}, ZEROS_TYPE),
     ({"n": 4, "k": 2, "zeros": [[1], [[2]]]}, ZEROS_TYPE),
     ({"n": 4, "k": 2, "zeros": [[1], "2"]}, ZEROS_TYPE),
     # the column types are checked before the shape, the row count and the range
@@ -311,6 +312,26 @@ ZEROS_TYPE = "pattern field 'zeros' must be a list of lists of integer columns"
 def test_spec_from_obj_messages(obj, message):
     with pytest.raises(ValueError) as exc:
         SupportSpec.from_obj(obj)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, k, zeros, message", [
+    (4, 2, [[1.9], ["2"]], ZEROS_TYPE),
+    (4, 2, [[1], [True]], ZEROS_TYPE),
+    (4, 2, [[1], [[2]]], ZEROS_TYPE),
+    (4, 2, [[1, 1.0], []], ZEROS_TYPE),
+    (4, 2, [[1], (c for c in [2])], ZEROS_TYPE),
+    (4, 2, [[1], 2], ZEROS_TYPE),
+    (4, 2, 5, ZEROS_TYPE),
+    (4.0, True, [[]], "field 'n' must be an integer, got 4.0"),
+    (4, True, [[]], "field 'k' must be an integer, got True"),
+    ("4", 2, [[], []], "field 'n' must be an integer, got '4'"),
+    (4, 2.0, [[], []], "field 'k' must be an integer, got 2.0"),
+])
+def test_spec_constructor_refuses_non_integers(n, k, zeros, message):
+    # the constructor is the one validated path, with from_obj's wording
+    with pytest.raises(ValueError) as exc:
+        SupportSpec(n, k, zeros)
     assert str(exc.value) == message
 
 

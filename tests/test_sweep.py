@@ -9,8 +9,8 @@ from cyclogab import (ExactMatrix, SupportSpec, build_subcode, certify, construc
                       hamming_distance, linalg)
 from cyclogab.certify import _distance_sweep
 from conftest import CONTEXTS
-from helpers import (brute_hamming_distance, reference_distance_sweep, refuse_rank_deficient,
-                     zeta)
+from helpers import (brute_hamming_distance, patch_exact_eliminate, reference_distance_sweep,
+                     refuse_rank_deficient, zeta)
 from test_fastpath import false_zero, q_scaled
 
 
@@ -68,14 +68,13 @@ def test_matches_reference_at_every_budget(matrix):
 
 
 def patch_exact_rank(monkeypatch, fn):
-    # the sweep's leaf and ExactMatrix.rank's fallback
-    for module in (linalg, certify):
-        monkeypatch.setattr(module, "_exact_rank", fn)
+    # the sweep's leaf and ExactMatrix.rank's fallback: every exact _eliminate call
+    patch_exact_eliminate(monkeypatch, (linalg, certify), fn)
 
 
 def exact_rank_calls(monkeypatch, sweep, matrix):
     calls = []
-    exact = linalg._exact_rank
+    exact = linalg._eliminate
     with monkeypatch.context() as patch:
         patch_exact_rank(patch, lambda rows: calls.append(1) or exact(rows))
         result = sweep(matrix, 10 ** 6)
