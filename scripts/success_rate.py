@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Empirical single-draw failure rate of the randomized construction.
 
-Runs many independent single draws (no retries) of the generator build and
+Runs many independent single random draws of the generator build (the
+draws ``construct`` falls back to, never its fixed points of attempt 0) and
 compares the observed failure fraction against the theoretical bound
 (n + k*(k-1)) / s_size.  Example:
 
@@ -14,17 +15,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from cyclogab import RetriesExhausted, construct
+from cyclogab import complete_sets, sample_points
 from cyclogab.cli import _run_inputs
+from cyclogab.construction import _attempt
 
 
 def single_draw_fails(task: tuple) -> bool:
-    ctx, spec, s_size, seed = task
-    try:
-        construct(spec, ctx, s_size, seed=seed, max_retries=0)
-        return False
-    except RetriesExhausted:
-        return True
+    ctx, completed, s_size, seed = task
+    return _attempt(completed, sample_points(ctx, completed.n, s_size, seed)) is None
 
 
 def _positive_int(text: str) -> int:
@@ -64,9 +62,10 @@ def run(args: argparse.Namespace) -> int:
         args.n = 6 if args.n is None else args.n
         args.k = 3 if args.k is None else args.k
     ctx, spec, s_size = _run_inputs(args)
+    completed = complete_sets(spec)
     bound = Fraction(spec.n + spec.k * (spec.k - 1), s_size)
 
-    tasks = [(ctx, spec, s_size, args.seed0 + t) for t in range(args.trials)]
+    tasks = [(ctx, completed, s_size, args.seed0 + t) for t in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(single_draw_fails, tasks, chunksize=8))

@@ -1,9 +1,11 @@
 """Command-line front end: check patterns, build codes, certify, run the oracle.
 
-Every command reads and writes JSON.  All randomness descends from the single
---seed value (draw attempt a uses sample seed ``seed + a``), and output files
-are emitted with sorted keys, so identical invocations produce byte-identical
-files.
+Every command reads and writes JSON.  A build tries the fixed points
+1, zeta, ..., zeta^(n-1) first (draw attempt 0, when the sample set size is
+at least 2) and falls back to random draws; all randomness descends from the
+single --seed value (draw attempt a >= 1 uses sample seed ``seed + a``), and
+output files are emitted with sorted keys, so identical invocations produce
+byte-identical files.
 
 Exit codes: 0 on success / condition holds, 1 when the condition fails, the
 oracle's verdict is not a proved nonzero, or a certificate does not pass, 2 on

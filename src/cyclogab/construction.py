@@ -1,18 +1,24 @@
-"""Moore matrices, independence testing, and the randomized generator build.
+"""Moore matrices, independence testing, and the generator build.
 
-The build draws integer coordinates for n evaluation points, stacks their
-automorphism orbit into a Moore matrix, and multiplies by a row-transform
-whose entries are signed maximal minors, which forces the requested zeros
-identically.  A draw succeeds when the transform is invertible and the
-points are linearly independent over Q (full rank of their integer
-coordinate matrix); a single draw fails with probability
-at most (n + k*(k-1)) / s_size, so the retry loop below almost never runs
-for adequately large sample sets.
+The build takes n evaluation points, stacks their automorphism orbit into a
+Moore matrix, and multiplies by a row-transform whose entries are signed
+maximal minors, which forces the requested zeros identically.  An attempt
+succeeds when the transform is invertible and the points are linearly
+independent over Q (full rank of their integer coordinate matrix); both
+premises are decided exactly on every attempt, so the points only set the
+cost.  Attempt 0 takes the fixed points 1, zeta, ..., zeta^(n-1) of the
+power basis, whose coordinates are unit vectors and whose generator has
+small coefficients; they fail only for rare patterns (at p = 7, n = 6,
+k = 3 the zeros {1, 6}, {2, 5}, {3, 4} make their transform singular).
+Later attempts draw integer coordinates from {0, ..., s_size - 1}, where a
+single draw fails with probability at most (n + k*(k-1)) / s_size, so the
+retry loop below almost never runs past attempt 1 for adequately large
+sample sets.
 
-A ``ConstructionResult`` records its draw once and derives the Moore matrix
-and the generator from its points and transform; loading a stored result
-checks the stored copies (the points' sample set size and seed, and both
-matrices) against the derived ones.
+A ``ConstructionResult`` records its points once and derives the Moore
+matrix and the generator from its points and transform; loading a stored
+result checks the stored copies (the points' sample set size and seed, and
+both matrices) against the derived ones.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence, Union
 from .cyclotomic import CycloElement, GaloisContext, _element
 from .linalg import ExactMatrix, _eliminate, bordered_minor_row
 from .supports import (SupportSpec, _check_shape, _int_field, _is_int, _is_int_rows, _Record,
-                       check_condition, complete_sets)
+                       _require_int, check_condition, complete_sets)
 
 
 # Largest accepted sample-set size.  G's coefficients have about
@@ -147,9 +153,11 @@ def is_independent(points: Sequence[CycloElement]) -> bool:
 class ConstructionResult(_Record):
     """Outcome of a successful build.  ``moore`` is the automorphism orbit of
     the points and ``generator`` is exactly transform @ moore; both are
-    derived on creation, never passed in.  The draw is recorded once: the
-    points, every coordinate an integer in [0, s_size), come from attempt
-    ``retries`` (sample seed ``seed + retries``, at most ``max_retries``)."""
+    derived on creation, never passed in.  The points are recorded once,
+    every coordinate an integer in [0, s_size); they come from attempt
+    ``retries`` of ``construct`` (at most ``max_retries``): the fixed power
+    basis points at 0, the draw of sample seed ``seed + retries`` after.
+    s_size, seed, max_retries and retries must be plain ints."""
 
     spec: SupportSpec
     completed: SupportSpec
@@ -167,6 +175,9 @@ class ConstructionResult(_Record):
     def __init__(self, spec: SupportSpec, completed: SupportSpec,
                  points: tuple[CycloElement, ...], transform: ExactMatrix, s_size: int,
                  seed: int, max_retries: int, retries: int) -> None:
+        for name, value in (("s_size", s_size), ("seed", seed), ("max_retries", max_retries),
+                            ("retries", retries)):
+            _require_int(name, value)
         n, k = spec.n, spec.k
         if (transform.rows, transform.cols) != (k, k) or len(points) != n:
             raise ValueError("inconsistent shapes in construction result")
@@ -268,34 +279,61 @@ def _load_matrix(ctx: GaloisContext, obj: dict, name: str,
         raise ValueError(f"matrix {name!r}: {exc}") from None
 
 
+def _power_points(ctx: GaloisContext, n: int) -> tuple[CycloElement, ...]:
+    """The fixed points 1, zeta, ..., zeta^(n-1) of attempt 0: point j's
+    coordinates are the unit vector e_j, which lies in {0, ..., s_size - 1}^m
+    for every s_size >= 2."""
+    return tuple([_element(ctx, [int(i == j) for i in range(ctx.m)]) for j in range(n)])
+
+
+def _attempt(completed: SupportSpec, points: Sequence[CycloElement]) -> ExactMatrix | None:
+    """The transform of one attempt on the given points of a completed
+    pattern, or None when it is singular or the points are dependent; both
+    premises are decided exactly."""
+    ctx = points[0].ctx
+    rows = [bordered_minor_row(ctx, [points[c - 1] for c in sorted(z)]) for z in completed.zeros]
+    transform = ExactMatrix.from_rows(ctx, rows)
+    if transform.rank() == completed.k and is_independent(points):
+        return transform
+    return None
+
+
 def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
               max_retries: int = 64) -> ConstructionResult:
     """Build a k x n generator matrix realizing the zero pattern.
 
     The pattern is padded to k-1 zeros per row first (feasibility permitting).
-    Draw attempt a uses sample seed ``seed + a``; the first draw with an
-    invertible transform and independent points wins, and ``retries`` records
-    how many redraws that took.  The retry loop is a determinization wrapper:
-    each single draw already succeeds with probability at least
-    1 - (n + k*(k-1)) / s_size.
+    Attempt 0 takes the fixed points ``_power_points(ctx, n)`` when s_size >= 2
+    (at s_size = 1 it draws like the others); attempt a >= 1 draws with
+    sample seed ``seed + a``.  The first attempt with an invertible transform
+    and independent points wins, and ``retries`` records its index, so
+    ``retries == 0`` with s_size >= 2 means the fixed points.  The draws are
+    the paper's randomized construction, a fallback for the rare patterns
+    where the fixed points fail: each single draw succeeds with probability
+    at least 1 - (n + k*(k-1)) / s_size.  A non-int (or bool) s_size, seed or
+    max_retries, an s_size outside [1, MAX_SAMPLE_SIZE] and a negative
+    max_retries raise ValueError before any attempt.
     """
-    if spec.n > ctx.m:
-        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={spec.n}")
+    for name, value in (("s_size", s_size), ("seed", seed), ("max_retries", max_retries)):
+        _require_int(name, value)
+    _check_sample_size(s_size)
     if max_retries < 0:
         raise ValueError(f"need max_retries >= 0, got {max_retries}")
+    if spec.n > ctx.m:
+        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={spec.n}")
     ok, witness = check_condition(spec)
     if not ok:
         raise ValueError(
             f"support condition violated by rows {sorted(witness or ())}; "
             "a full-distance code does not exist, build a subcode instead")
     completed = complete_sets(spec)
-    col_sets = [sorted(z) for z in completed.zeros]
     for attempt in range(max_retries + 1):
-        pts = sample_points(ctx, spec.n, s_size, seed + attempt)
-        t_rows = [bordered_minor_row(ctx, [pts[c - 1] for c in cols])
-                  for cols in col_sets]
-        transform = ExactMatrix.from_rows(ctx, t_rows)
-        if transform.rank() == spec.k and is_independent(pts):
+        if attempt == 0 and s_size >= 2:
+            pts = _power_points(ctx, spec.n)
+        else:
+            pts = sample_points(ctx, spec.n, s_size, seed + attempt)
+        transform = _attempt(completed, pts)
+        if transform is not None:
             return ConstructionResult(
                 spec=spec,
                 completed=completed,

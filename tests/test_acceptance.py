@@ -11,11 +11,12 @@ import math
 import random
 from fractions import Fraction
 
-from cyclogab import (GaloisContext, RetriesExhausted, SupportSpec, build_subcode,
-                      certify_mrd, check_condition, complete_sets, construct,
+from cyclogab import (ConstructionResult, GaloisContext, SupportSpec,
+                      build_subcode, certify_mrd, check_condition, complete_sets, construct,
                       det_is_nonzero, is_independent, moore_matrix, required_dimension,
                       sample_points, sweep_agreement, verify_support)
 from cyclogab.cli import main as cli_main
+from cyclogab.construction import _attempt
 from helpers import reference_det_nonzero
 
 STAIRCASE = SupportSpec(6, 3, [(1, 2), (3, 4), (5, 6)])
@@ -44,14 +45,11 @@ def test_criterion_1_oracle_equivalence_exhaustive():
 
 def test_criterion_2_single_draw_success_rate():
     # p=11, staircase pattern, s_size=1200 (failure bound 0.01): 200 single
-    # draws may fail at most floor((0.01 + 0.03) * 200) = 8 times
+    # random draws may fail at most floor((0.01 + 0.03) * 200) = 8 times
     ctx = GaloisContext(11)
-    failures = 0
-    for seed in range(200):
-        try:
-            construct(STAIRCASE, ctx, 1200, seed=seed, max_retries=0)
-        except RetriesExhausted:
-            failures += 1
+    completed = complete_sets(STAIRCASE)
+    failures = sum(_attempt(completed, sample_points(ctx, STAIRCASE.n, 1200, seed)) is None
+                   for seed in range(200))
     bound = (0.01 + 0.03) * 200
     _report("2 single-draw failure rate within bound", failures <= bound,
             f"failures={failures}/200, allowed={bound:.0f}")
@@ -59,14 +57,25 @@ def test_criterion_2_single_draw_success_rate():
 
 def test_criterion_3_exact_certification_sweep():
     # every successful construction at p=11, n <= 6, k <= 3 certifies with
-    # all exact checks true and a full C(n, k) minor sweep giving n-k+1
+    # all exact checks true and a full C(n, k) minor sweep giving n-k+1: the
+    # fixed points of construct, and the random draw of each seed as
+    # construct's fallback would take it at attempt 1
     ctx = GaloisContext(11)
     cases = ([(STAIRCASE, seed) for seed in range(30)]
              + [(SupportSpec(5, 2, [(1,), (3,)]), seed) for seed in range(10)]
              + [(SupportSpec(4, 3, [(1,), (2,), (3,)]), seed) for seed in range(10)])
-    exceptions = []
+    results = [(spec, None, construct(spec, ctx, 1200, seed=0)) for spec in
+               dict.fromkeys(spec for spec, _ in cases)]
     for spec, seed in cases:
-        result = construct(spec, ctx, 1200, seed=seed)
+        completed = complete_sets(spec)
+        points = sample_points(ctx, spec.n, 1200, seed + 1)
+        transform = _attempt(completed, points)
+        if transform is not None:
+            results.append((spec, seed, ConstructionResult(
+                spec=spec, completed=completed, points=points, transform=transform,
+                s_size=1200, seed=seed, max_retries=1, retries=1)))
+    exceptions = []
+    for spec, seed, result in results:
         cert = certify_mrd(result)
         expected = spec.n - spec.k + 1
         good = (cert.support_ok and cert.t_invertible and cert.points_independent
@@ -76,8 +85,9 @@ def test_criterion_3_exact_certification_sweep():
                 and cert.passed)
         if not good:
             exceptions.append((spec.to_obj(), seed))
-    _report("3 exact certification across 50 seeds", not exceptions,
-            f"cases={len(cases)}, exceptions={len(exceptions)}")
+    _report("3 exact certification across 50 seeds",
+            not exceptions and len(results) == 3 + len(cases),
+            f"results={len(results)}, exceptions={len(exceptions)}")
 
 
 def test_criterion_4_independence_test_suite():

@@ -122,7 +122,11 @@ def test_result_invariants_enforced(ctx11, tmp_path, capsys):
     result = construct(STAIRCASE, ctx11, 1200, seed=1)
     assert result.moore == moore_matrix(result.points, STAIRCASE.k)
     assert result.generator == result.transform @ result.moore
-    other = construct(STAIRCASE, ctx11, 1200, seed=99).to_obj()
+    # the points of another draw: every construct of this pattern takes the
+    # same fixed points
+    other = make_result(ctx11, STAIRCASE, sample_points(ctx11, STAIRCASE.n, 1200, seed=99),
+                        1200, 99).to_obj()
+    assert other["moore"] != result.to_obj()["moore"]
     for key, message in [("moore", "orbit of the points"), ("generator", "transform @ moore")]:
         obj = result.to_obj()
         obj[key] = other[key]

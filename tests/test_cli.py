@@ -187,8 +187,9 @@ def test_certify_names_missing_field(capsys, good_spec, tmp_path, path):
     (lambda obj: {**obj, "s_size": 7, "retries": 50, "max_retries": 3}, "sample set size"),
 ])
 def test_certify_inconsistent_bookkeeping(capsys, good_spec, tmp_path, mutate, reason):
-    # construct draws attempt a with seed + a at the stored sample set size,
-    # so a result whose counters disagree with its points is refused on load
+    # a result records attempt a's points with draw seed seed + a at the
+    # stored sample set size (attempt 0: the fixed points), so a result whose
+    # counters disagree with its points is refused on load
     out_dir = tmp_path / "run"
     run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
                  "--s-size", "200", "--seed", "1", "--out", str(out_dir)])

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclogab import (ConstructionResult, ExactMatrix, RetriesExhausted, SupportSpec,
-                      build_subcode, construct, construction, is_independent, moore_matrix,
-                      required_sample_size, sample_points, verify_support)
-from cyclogab.construction import _parse_epsilon
+from cyclogab import (ConstructionResult, ExactMatrix, GaloisContext, RetriesExhausted,
+                      SupportSpec, build_subcode, certify_mrd, construct,
+                      construction, is_independent, moore_matrix, required_sample_size,
+                      sample_points, verify_support)
+from cyclogab.construction import _parse_epsilon, _power_points
 from conftest import CONTEXTS
 from helpers import coordinate_rank, identity, rebuild_result, zeta
 
@@ -231,15 +232,17 @@ def test_construct_rejects_wide_pattern(ctx5):
 
 
 def test_construct_retries_exhausted(ctx5):
-    # sample set of size 1 only ever draws the zero point
+    # sample set of size 1 only ever draws the zero point; attempt 0 takes
+    # the fixed points only when their unit coordinates lie in [0, s_size)
     spec = SupportSpec(3, 2, [(), ()])
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted, match=r"no successful draw in 3 attempts \(s_size=1\)"):
         construct(spec, ctx5, 1, seed=0, max_retries=2)
 
 
 def test_negative_max_retries_refused_before_any_draw(ctx5, monkeypatch):
     monkeypatch.setattr(construction, "sample_points",
                         lambda *args: pytest.fail("a draw ran"))
+    monkeypatch.setattr(construction, "_attempt", lambda *args: pytest.fail("an attempt ran"))
     feasible, infeasible = SupportSpec(3, 2, [(), ()]), SupportSpec(4, 2, [(1, 2), (1, 2)])
     for build, spec in ((construct, feasible), (build_subcode, feasible),
                         (build_subcode, infeasible)):
@@ -247,26 +250,82 @@ def test_negative_max_retries_refused_before_any_draw(ctx5, monkeypatch):
             build(spec, ctx5, 100, seed=0, max_retries=-1)
 
 
-def test_construct_retry_seed_counter(ctx5):
-    # a forced retry at seed s must reproduce the draw of seed s+1
-    spec = SupportSpec(3, 2, [(1,), (2,)])
-    direct = construct(spec, ctx5, 40, seed=11)
-    draw_seed = direct.to_obj()["points"]["seed"]
-    assert draw_seed == 11 + direct.retries
-    redraw = sample_points(ctx5, 3, 40, seed=draw_seed)
-    assert redraw == direct.points
+@pytest.mark.parametrize("args, message", [
+    ((100.0, 0, 64), r"field 's_size' must be an integer, got 100\.0"),
+    ((True, 0, 64), r"field 's_size' must be an integer, got True"),
+    (("100", 0, 64), r"field 's_size' must be an integer, got '100'"),
+    ((100, 1.5, 64), r"field 'seed' must be an integer, got 1\.5"),
+    ((100, False, 64), r"field 'seed' must be an integer, got False"),
+    ((100, 0, 1.5), r"field 'max_retries' must be an integer, got 1\.5"),
+    ((100, 0, True), r"field 'max_retries' must be an integer, got True"),
+    ((0, 0, 64), r"sample set size must be >= 1, got 0"),
+    ((-3, 0, 64), r"sample set size must be >= 1, got -3"),
+    ((2 ** 256 + 1, 0, 64), r"sample set size of 257 bits exceeds MAX_SAMPLE_SIZE = 2\^256"),
+])
+def test_construct_refuses_bad_arguments_before_any_attempt(ctx5, monkeypatch, args, message):
+    # attempt 0 never calls sample_points, so construct checks its arguments itself
+    monkeypatch.setattr(construction, "_attempt", lambda *args: pytest.fail("an attempt ran"))
+    s_size, seed, max_retries = args
+    with pytest.raises(ValueError, match=message):
+        construct(SupportSpec(3, 2, [(), ()]), ctx5, s_size, seed, max_retries)
 
 
-def test_result_round_trip_after_retries(ctx5):
-    # at s_size 2 the first draws fail; the stored points carry the seed of
-    # the winning draw, and loading them checks it against seed + retries
-    spec = SupportSpec(4, 2, [(1,), (2,)])
-    result = construct(spec, ctx5, 2, seed=0)
+@pytest.mark.parametrize("field, value", [
+    ("s_size", 1200.0), ("seed", 1.5), ("max_retries", True), ("retries", 0.0)])
+def test_result_refuses_non_int_bookkeeping(ctx11, field, value):
+    # such a result could be written, but its file could not be loaded again
+    result = construct(STAIRCASE, ctx11, 1200, seed=1)
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+        rebuild_result(result, **{field: value})
+
+
+# At (p, n, k) = (7, 6, 3) these zeros make the transform of the fixed points
+# singular: the only such pattern, up to the order of its rows, among all
+# 2370 feasible families of three 2-column zero sets.
+PLANTED = SupportSpec(6, 3, [(1, 6), (2, 5), (3, 4)])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_construct_falls_back_to_a_draw(ctx7, seed):
+    result = construct(PLANTED, ctx7, 1200, seed=seed)
+    assert result.retries == 1
+    assert result.points == sample_points(ctx7, 6, 1200, seed + 1)
+    assert certify_mrd(result).passed
+
+
+@pytest.mark.parametrize("p, spec", [
+    (11, STAIRCASE), (17, SupportSpec(12, 6, [()] * 6))])
+def test_fixed_points_certify_at_the_golden_shapes(p, spec):
+    ctx = GaloisContext(p)
+    result = construct(spec, ctx, required_sample_size(spec.n, spec.k, "0.01"), seed=7)
+    assert result.retries == 0
+    assert result.points == _power_points(ctx, spec.n)
+    assert [x.coeffs for x in result.points] == [
+        tuple(int(i == j) for i in range(ctx.m)) for j in range(spec.n)]
+    assert certify_mrd(result).passed
+
+
+def test_construct_retry_seed_counter(ctx7):
+    # a forced retry at seed s must reproduce the draw of seed s + retries
+    for seed, s_size in ((11, 40), (3, 2)):
+        direct = construct(PLANTED, ctx7, s_size, seed=seed)
+        assert direct.retries >= 1
+        draw_seed = direct.to_obj()["points"]["seed"]
+        assert draw_seed == seed + direct.retries
+        redraw = sample_points(ctx7, 6, s_size, seed=draw_seed)
+        assert redraw == direct.points
+
+
+def test_result_round_trip_after_retries(ctx7):
+    # at s_size 2 the fixed points and the first draw fail; the stored
+    # points carry the seed of the winning draw, and loading them checks it
+    # against seed + retries
+    result = construct(PLANTED, ctx7, 2, seed=0)
     assert result.retries == 2
     obj = result.to_obj()
     assert obj["points"] == {"coords": [list(x.coeffs) for x in result.points],
                              "sample_set_size": 2, "seed": 2}
-    assert sample_points(ctx5, 4, 2, seed=2) == result.points
+    assert sample_points(ctx7, 6, 2, seed=2) == result.points
     assert ConstructionResult.from_obj(obj) == result
 
 

@@ -1,11 +1,13 @@
 """Byte identity of the files the CLI emits.
 
-One fixed construct, subcode and certify run at p = 11, n = 6, k = 3, and one
+One fixed construct, subcode and certify run at p = 11, n = 6, k = 3, one
 construct at p = 17, n = 12, k = 6 (transform rows of five points, so
 ``bordered_minor_row`` takes three division steps and its odd-count sign),
-must reproduce these sha256 digests exactly; any change of the field
-representation, the elimination or the JSON layout that moves a single
-output byte fails here.
+both on the fixed points of draw attempt 0, and one construct at p = 7,
+n = 6, k = 3 on a pattern where those points fail (so the random draw of
+attempt 1 is pinned too), must reproduce these sha256 digests exactly; any
+change of the points, the field representation, the elimination or the JSON
+layout that moves a single output byte fails here.
 """
 
 import contextlib
@@ -17,22 +19,29 @@ from cyclogab.cli import main
 
 STAIRCASE = {"n": 6, "k": 3, "zeros": [[1, 2], [3, 4], [5, 6]]}
 SHARED_PAIR = {"n": 6, "k": 3, "zeros": [[1, 2], [1, 2], [3]]}
+PLANTED = {"n": 6, "k": 3, "zeros": [[1, 6], [2, 5], [3, 4]]}  # singular T on the fixed points
 
 GOLDEN = {
-    "construct/stdout": "fdc63ccc637bdc5129131386331c81689b0bc483401b954aa1506be0d9aac5d7",
-    "construct/result.json": "31b3c1168469288e179d3e0b5b8bd66dd069eef0daec884ba4047fd52e70e4b0",
-    "construct/certificate.json": "fdc63ccc637bdc5129131386331c81689b0bc483401b954aa1506be0d9aac5d7",
-    "subcode/stdout": "4a799ddec249a5f88b159be5d014053b07b59537db96049e270267a41b116be8",
-    "subcode/subcode.json": "4ccfc078872c7bd39af5bf9f98b43b22a81177d6b4f85288c21bfdc670a7b9d9",
-    "subcode/certificate.json": "4a799ddec249a5f88b159be5d014053b07b59537db96049e270267a41b116be8",
-    "certify/stdout": "fdc63ccc637bdc5129131386331c81689b0bc483401b954aa1506be0d9aac5d7",
-    "certify/certificate.json": "fdc63ccc637bdc5129131386331c81689b0bc483401b954aa1506be0d9aac5d7",
+    "construct/stdout": "44e7f89a65a0eab4b116d21f7269485d1ef196fe364e0d5a8017c6256d22c879",
+    "construct/result.json": "9daf22e22461bbd494e9a5d04bf93f9a63ff2d6d329a6ec3acab8c1a222b990d",
+    "construct/certificate.json": "44e7f89a65a0eab4b116d21f7269485d1ef196fe364e0d5a8017c6256d22c879",
+    "subcode/stdout": "ffd2dab4479e48e950c22f34e6169dad921a3c484950bd553bf495f874f39688",
+    "subcode/subcode.json": "92fa5bf089674d6596df041c7a77694c9998266e8c3c31ec50b14703f6f8d608",
+    "subcode/certificate.json": "ffd2dab4479e48e950c22f34e6169dad921a3c484950bd553bf495f874f39688",
+    "certify/stdout": "44e7f89a65a0eab4b116d21f7269485d1ef196fe364e0d5a8017c6256d22c879",
+    "certify/certificate.json": "44e7f89a65a0eab4b116d21f7269485d1ef196fe364e0d5a8017c6256d22c879",
 }
 
 GOLDEN_K6 = {
-    "construct/stdout": "97cd4c2e59abfd99a8e214c4d6fe33cdaa49403fb51d87b1ad8c6d5c5ef39900",
-    "construct/certificate.json": "97cd4c2e59abfd99a8e214c4d6fe33cdaa49403fb51d87b1ad8c6d5c5ef39900",
-    "construct/result.json": "94bc2908f9da15b3c2c629a68cd1bc92bf39f471db20e7c84476040e2261f9dd",
+    "construct/stdout": "49a7bdf96d6288aac179d75a60612dd54df292d05dffa0227b324e65adca6c54",
+    "construct/certificate.json": "49a7bdf96d6288aac179d75a60612dd54df292d05dffa0227b324e65adca6c54",
+    "construct/result.json": "b53c4a42d0832abd2ec2ea5b48caec68b9abce9cf4d8aab84bc0fc786b5b1ee1",
+}
+
+GOLDEN_PLANTED = {
+    "construct/stdout": "b641ffbd3d6d68aebe86c1e30b2679bbe8952fbef3c832637db6f4561a845cf8",
+    "construct/certificate.json": "b641ffbd3d6d68aebe86c1e30b2679bbe8952fbef3c832637db6f4561a845cf8",
+    "construct/result.json": "576e2db0926897f718aa935001b4ca9d1768e711edcc657c6498dcb467d66fb8",
 }
 
 
@@ -81,3 +90,14 @@ def test_k6_construct_bytes_are_pinned(tmp_path):
         "construct", "--prime", "17", "--n", "12", "--k", "6", "--epsilon", "0.01",
         "--seed", "7"], 0)
     assert digests == GOLDEN_K6
+
+
+def test_fallback_draw_bytes_are_pinned(tmp_path):
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(PLANTED), encoding="utf-8")
+    digests = {}
+    _recorder(tmp_path, digests)("construct", [
+        "construct", "--prime", "7", "--zeros", str(planted), "--epsilon", "0.01",
+        "--seed", "7"], 0)
+    assert json.loads((tmp_path / "construct" / "result.json").read_text())["retries"] == 1
+    assert digests == GOLDEN_PLANTED

@@ -45,12 +45,17 @@ def test_bad_counts_refused_at_parse_time(capsys, argv, message):
     (["--prime", "7", "--n", "8"], "error: need n <= p-1 = 6, got n=8\n"),
     (["--prime", "12"], "error: conductor must be an odd prime, got 12\n"),
     (["--zeros", "bad-n.json"], "error: bad-n.json: field 'n' must be an integer, got 'x'\n"),
+    # refused by the completion, once, before any draw
+    (["--zeros", "infeasible.json", "--prime", "5"],
+     "error: pattern must satisfy the support condition before completion\n"),
 ])
 def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     (tmp_path / "p63.json").write_text(P63, encoding="utf-8")
     (tmp_path / "bad-n.json").write_text('{"n": "x", "k": 2, "zeros": []}', encoding="utf-8")
+    (tmp_path / "infeasible.json").write_text('{"n": 4, "k": 2, "zeros": [[1, 2], [1, 2]]}',
+                                              encoding="utf-8")
     assert success_rate.main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
 
@@ -61,6 +66,16 @@ def test_explicit_sample_size_is_used(capsys):
     out = capsys.readouterr().out
     assert "sample set size    5\n" in out
     assert "trials             3 (seeds 0..2)" in out
+
+
+def test_single_draws_stay_random(capsys):
+    # the seeded random draws alone: construct's fixed points of attempt 0
+    # would succeed in all 60 trials here
+    assert success_rate.main(["--prime", "13", "--n", "12", "--k", "6", "--s-size", "2",
+                              "--trials", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "trials             60 (seeds 0..59)\n" in out
+    assert "failures           9\n" in out
 
 
 def test_pattern_file_run_in_two_worker_processes(tmp_path):
