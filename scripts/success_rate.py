@@ -73,13 +73,14 @@ def run(args: argparse.Namespace) -> int:
         outcomes = [single_draw_fails(t) for t in tasks]
     failures = sum(outcomes)
 
-    within = Fraction(failures, args.trials) <= bound
+    observed = Fraction(failures, args.trials)
+    within = observed <= bound
     print(f"pattern            n={spec.n} k={spec.k} zeros={[sorted(z) for z in spec.zeros]}")
     print(f"sample set size    {s_size}")
     print(f"trials             {args.trials} (seeds {args.seed0}..{args.seed0 + args.trials - 1})")
     print(f"failures           {failures}")
-    print(f"observed fraction  {failures / args.trials:.4f}")
-    print(f"theoretical bound  {float(bound):.4f}  ({bound})")
+    print(f"observed fraction  {observed}")
+    print(f"theoretical bound  {bound}")
     print(f"within bound       {'yes' if within else 'NO'}")
     return 0 if within else 1
 

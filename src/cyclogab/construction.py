@@ -114,6 +114,15 @@ def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> tuple[C
     Coordinate j of a point is its coefficient of basis element j.  The
     stream order is row-major (point index outer, basis index inner), so a
     seed pins the draw bit-for-bit.
+
+    The points are dependent with probability at most
+    (s^n - 1) / ((s - 1) s^m) < s^(n-m) / (s - 1), for s = s_size >= 2 and
+    m = p - 1.  A d-dimensional subspace of Q^m holds at most s^d points of
+    {0, ..., s-1}^m, since it projects injectively onto d pivot
+    coordinates.  So point i + 1 lies in the span of the first i with
+    probability at most s^i / s^m, and the sum over i = 0 .. n-1 is the
+    bound.  This bounds the independence premise only; the invertibility
+    of the transform stays under the paper's (n + k*(k-1)) / s_size.
     """
     _check_sample_size(s_size)
     if n > ctx.m:

@@ -128,6 +128,15 @@ def rebuild_result(result: ConstructionResult, **changes) -> ConstructionResult:
     return ConstructionResult(**{**fields, **changes})
 
 
+def outcome(call):
+    """What ``call()`` gives: its value, or the type and message of the
+    exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def identity(ctx, n: int) -> ExactMatrix:
     one, zero = ctx.one(), ctx.zero()
     return ExactMatrix(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])

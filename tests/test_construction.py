@@ -11,7 +11,7 @@ from cyclogab import (ConstructionResult, ExactMatrix, GaloisContext, RetriesExh
                       sample_points, verify_support)
 from cyclogab.construction import _parse_epsilon, _power_points
 from conftest import CONTEXTS
-from helpers import coordinate_rank, identity, rebuild_result, zeta
+from helpers import coordinate_rank, gaussian_rank, identity, outcome, rebuild_result, zeta
 
 
 def test_required_sample_size_values():
@@ -111,6 +111,16 @@ def test_moore_matrix_guards(ctx5):
         moore_matrix([ctx5.one()] * 5, rows=2)
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda: moore_matrix([], rows=1), (ValueError, "need at least one point")),
+    (lambda: is_independent([]), (ValueError, "need at least one point")),
+    (lambda: moore_matrix([CONTEXTS[5].one(), CONTEXTS[7].one()], rows=1),
+     (ValueError, "context mismatch among points")),
+], ids=["moore-no-points", "independence-no-points", "moore-two-conductors"])
+def test_point_guards(call, expected):
+    assert outcome(call) == expected
+
+
 def test_is_independent_examples(ctx5):
     one, z = ctx5.one(), zeta(ctx5, 1)
     assert not is_independent([one, z, one + z])
@@ -126,6 +136,20 @@ def test_independence_agrees_with_coordinate_rank(seed):
     ctx = CONTEXTS[5]
     pts = sample_points(ctx, 3, 6, seed=seed)
     assert is_independent(pts) == (coordinate_rank(pts) == 3)
+
+
+@pytest.mark.parametrize("m, s, n, dependent", [
+    (2, 2, 2, 10), (2, 3, 2, 31), (3, 2, 3, 338), (4, 2, 3, 1516)])
+def test_point_term_of_the_failure_bound(m, s, n, dependent):
+    # every n-tuple of {0, ..., s-1}^m, counted dependent by exact rank,
+    # against sample_points' bound (s^n - 1) / ((s - 1) s^m) < s^(n-m) / (s - 1)
+    grid = list(product(range(s), repeat=m))
+    count = sum(gaussian_rank([[Fraction(c) for c in x] for x in points]) < n
+                for points in product(grid, repeat=n))
+    observed = Fraction(count, s ** (m * n))
+    bound = Fraction(s ** n - 1, (s - 1) * s ** m)
+    assert count == dependent
+    assert observed <= bound < Fraction(s ** n, (s - 1) * s ** m)
 
 
 def brute_force_rational_dependence(points, grid):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cyclogab import CycloElement, GaloisContext
 from cyclogab.cyclotomic import dot_products, exact_divider, fq_rows
 from conftest import CONTEXTS, elements, small_integers
-from helpers import FractionElement, close, embed, reference_aut, zeta
+from helpers import FractionElement, close, embed, outcome, reference_aut, zeta
 
 
 def brute_smallest_primitive_root(p):
@@ -93,6 +93,14 @@ def test_context_mismatch_raises(ctx5, ctx7):
         zeta(ctx5, 1) + zeta(ctx7, 1)
     with pytest.raises(ValueError):
         zeta(ctx5, 1) * zeta(ctx7, 1)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: CONTEXTS[5].one().__sub__("1"), NotImplemented),
+    (lambda: CONTEXTS[5].one().__eq__(1), NotImplemented),
+], ids=["sub-str", "eq-int"])
+def test_element_defers_to_the_other_operand(call, expected):
+    assert outcome(call) == expected
 
 
 def test_coefficients_canonical(ctx5):

@@ -1,7 +1,10 @@
-"""No floating point in the library: a walk over the syntax trees of every
-module of ``cyclogab`` refuses float literals, ``float(...)`` calls and the
-float functions and constants of ``math``.  ``isinstance(x, float)`` (the
-name, not a call) and ``math.ceil`` of a ``Fraction`` stay allowed."""
+"""No floating point in the library or its scripts: a walk over the syntax
+trees of every module of ``cyclogab`` and of ``scripts/`` refuses float
+literals, ``float(...)`` calls, the float functions and constants of ``math``
+and true division ``/``, which turns two ints into a float.
+``isinstance(x, float)`` (the name, not a call), ``math.ceil`` of a
+``Fraction``, a division with a ``Fraction(...)`` call for an operand and
+``/`` on a name annotated as a ``Path`` (a path join) stay allowed."""
 
 import ast
 from pathlib import Path
@@ -13,9 +16,17 @@ import cyclogab
 FLOAT_MATH = {"log", "log2", "log10", "log1p", "sqrt", "exp", "pow", "fsum", "inf", "nan"}
 
 
+def _is_fraction_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "Fraction"
+
+
 def float_uses(source: str) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    paths = {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)
+             and node.annotation is not None and "Path" in ast.unparse(node.annotation)}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"line {node.lineno}: literal {node.value!r}")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -27,22 +38,34 @@ def float_uses(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found += [f"line {node.lineno}: from math import {a.name}"
                       for a in node.names if a.name in FLOAT_MATH]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            left, right = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                           else (node.target, node.value))
+            if not (_is_fraction_call(left) or _is_fraction_call(right)
+                    or isinstance(left, ast.Name) and left.id in paths):
+                found.append(f"line {node.lineno}: true division")
     return found
 
 
-@pytest.mark.parametrize("path", sorted(Path(cyclogab.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("path", sorted(Path(cyclogab.__file__).parent.glob("*.py"))
+                         + sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
 def test_library_is_float_free(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("source", ["x = 0.5", "x = 1e3", "x = 2j", "y = float(s)",
-                                    "y = math.log2(n)", "y = math.inf", "from math import sqrt"])
+                                    "y = math.log2(n)", "y = math.inf", "from math import sqrt",
+                                    "x = a / b", "x /= 2"])
 def test_guard_refuses(source):
     assert len(float_uses(source)) == 1
 
 
 @pytest.mark.parametrize("source", ["k = math.ceil(Fraction(7, 2))", "ok = isinstance(x, float)",
-                                    "q = pow(a, -1, m)", "g = math.gcd(a, b)"])
+                                    "q = pow(a, -1, m)", "g = math.gcd(a, b)",
+                                    "y = Fraction(a) / b",
+                                    "def f(out: Path | None): return out / name"])
 def test_guard_allows(source):
     assert float_uses(source) == []

@@ -9,7 +9,7 @@ from cyclogab.linalg import _eliminate
 from conftest import CONTEXTS, elements, small_integers
 from helpers import (FractionElement, bordered_minor_determinants, cofactor_det,
                      column_subset, coordinate_rank, gaussian_rank, identity, leibniz_det,
-                     moore_block, transpose, zero_matrix, zeta)
+                     moore_block, outcome, transpose, zero_matrix, zeta)
 
 
 def matrices(p, rows, cols):
@@ -46,7 +46,7 @@ def test_det_rejects_non_square(ctx5):
 
 @given(st.data())
 @settings(max_examples=25, deadline=None)
-def test_det_matches_leibniz_cofactor_path(data):
+def test_det_matches_leibniz_sizes_1_to_4(data):
     n = data.draw(st.integers(min_value=1, max_value=4))
     m = data.draw(matrices(5, n, n))
     assert m.det() == leibniz_det(m)
@@ -54,7 +54,7 @@ def test_det_matches_leibniz_cofactor_path(data):
 
 @given(st.data())
 @settings(max_examples=8, deadline=None)
-def test_det_matches_leibniz_bareiss_path(data):
+def test_det_matches_leibniz_sizes_5_to_6(data):
     n = data.draw(st.integers(min_value=5, max_value=6))
     m = data.draw(matrices(3, n, n))
     assert m.det() == leibniz_det(m)
@@ -273,6 +273,24 @@ def test_matrix_serialization_round_trip(ctx5):
 def test_entry_context_enforced(ctx5, ctx7):
     with pytest.raises(ValueError):
         ExactMatrix(ctx5, 1, 1, [ctx7.one()])
+
+
+C5, C7 = CONTEXTS[5], CONTEXTS[7]
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: ExactMatrix(C5, 2, 2, [C5.one()] * 3), (ValueError, "expected 4 entries, got 3")),
+    (lambda: ExactMatrix.from_rows(C5, [[C5.one(), C5.one()], [C5.one()]]),
+     (ValueError, "ragged rows")),
+    (lambda: identity(C5, 2)[2, 0], (IndexError, "(2, 0)")),
+    (lambda: identity(C5, 2) @ identity(C7, 2), (ValueError, "context mismatch")),
+    (lambda: identity(C5, 2) @ 3,
+     (TypeError, "unsupported operand type(s) for @: 'ExactMatrix' and 'int'")),
+    (lambda: identity(C5, 2).__eq__(3), NotImplemented),
+], ids=["entry-count", "ragged", "index-past-shape", "matmul-two-conductors", "matmul-int",
+        "eq-int"])
+def test_matrix_guards(call, expected):
+    assert outcome(call) == expected
 
 
 @pytest.mark.parametrize("rows, cols", [(1.0, 1), (1, True), ("1", 1)])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,9 @@ def test_bad_inputs_exit_2_with_a_message(capsys, tmp_path, monkeypatch, argv, m
     (tmp_path / "bad-n.json").write_text('{"n": "x", "k": 2, "zeros": []}', encoding="utf-8")
     (tmp_path / "infeasible.json").write_text('{"n": 4, "k": 2, "zeros": [[1, 2], [1, 2]]}',
                                               encoding="utf-8")
+    start = time.perf_counter()
     assert success_rate.main(argv) == 2
+    assert time.perf_counter() - start < 1  # refused at once, before any draw
     assert capsys.readouterr().err.startswith(message)
 
 

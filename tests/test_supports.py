@@ -9,7 +9,8 @@ from cyclogab import (CompletionError, SupportSpec, check_condition, complete_se
                       required_dimension, supports)
 from cyclogab.supports import MAX_ROWS
 from helpers import (brute_condition, brute_required_dimension, enumerated_condition,
-                     enumerated_required_dimension, reference_complete_sets, subset_values)
+                     enumerated_required_dimension, outcome, reference_complete_sets,
+                     subset_values)
 
 
 def random_specs(max_n=8, max_k=4, satisfying=None):
@@ -281,6 +282,13 @@ def test_spec_validation():
         SupportSpec(3, 1, [(4,)])  # column out of range
     with pytest.raises(ValueError):
         SupportSpec(3, 2, [()])  # wrong number of rows
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: SupportSpec(2, 1, [[1]]).__eq__((2, 1, [[1]])), NotImplemented),
+], ids=["record-eq-tuple"])
+def test_record_defers_to_the_other_operand(call, expected):
+    assert outcome(call) == expected
 
 
 def test_spec_json_round_trip():
