@@ -11,8 +11,8 @@ from .cyclotomic import CycloElement, GaloisContext
 from .linalg import ExactMatrix, bordered_minor_row
 from .supports import (CompletionError, SupportSpec, check_condition, complete_sets,
                        required_dimension)
-from .construction import (ConstructionResult, RetriesExhausted, construct, is_independent,
-                           moore_matrix, required_sample_size, sample_points)
+from .construction import (ConstructionResult, InfeasiblePattern, RetriesExhausted, construct,
+                           is_independent, moore_matrix, required_sample_size, sample_points)
 from .gmmds import OracleReport, det_is_nonzero, oracle_report, sweep_agreement
 from .certify import (Certificate, SubcodeResult, build_subcode, certify_mrd,
                       hamming_distance, verify_support)
@@ -26,6 +26,7 @@ __all__ = [
     "CycloElement",
     "ExactMatrix",
     "GaloisContext",
+    "InfeasiblePattern",
     "OracleReport",
     "RetriesExhausted",
     "SubcodeResult",

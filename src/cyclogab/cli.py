@@ -7,15 +7,17 @@ single --seed value (draw attempt a >= 1 uses sample seed ``seed + a``), and
 output files are emitted with sorted keys, so identical invocations produce
 byte-identical files.
 
-Exit codes: 0 on success / condition holds, 1 when the condition fails, the
-oracle's verdict is not a proved nonzero, or a certificate does not pass, 2 on
-usage or input errors.
+Exit codes: 0 on success / condition holds, 1 when the condition fails (in
+``construct``, an InfeasiblePattern), the draws run out, the oracle's verdict
+is not a proved nonzero, or a certificate does not pass, 2 on usage or input
+errors.  Each input bound is checked once, by the library call it guards.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -24,11 +26,11 @@ from pathlib import Path
 from typing import Callable
 
 from .certify import DEFAULT_MAX_CHECKS, Certificate, build_subcode, certify_mrd
-from .construction import ConstructionResult, RetriesExhausted, construct, required_sample_size
+from .construction import (ConstructionResult, InfeasiblePattern, RetriesExhausted, construct,
+                           required_sample_size)
 from .cyclotomic import GaloisContext
 from .gmmds import check_oracle_size, oracle_report, sweep_agreement
-from .supports import (MAX_ROWS, SupportSpec, check_condition, complete_sets,
-                       required_dimension)
+from .supports import SupportSpec, check_condition, complete_sets, required_dimension
 
 
 def _dump(obj: dict) -> str:
@@ -98,17 +100,13 @@ def _load_spec(args: argparse.Namespace) -> SupportSpec:
         return spec
     if args.n is None or args.k is None:
         raise ValueError("provide --zeros FILE, or both --n and --k for an empty pattern")
-    if args.k > MAX_ROWS:  # refused before the k empty rows are built
-        raise ValueError(f"row count {args.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
-    return SupportSpec(args.n, args.k, [()] * args.k)
+    return SupportSpec(args.n, args.k, itertools.repeat((), args.k))  # k is bounded first
 
 
 def _run_inputs(args: argparse.Namespace) -> tuple[GaloisContext, SupportSpec, int]:
     """Field, pattern and sample-set size of construct, subcode and scripts/success_rate.py."""
     ctx = GaloisContext(args.prime)
     spec = _load_spec(args)
-    if spec.n > ctx.m:
-        raise ValueError(f"need n <= p-1 = {ctx.m}, got n={spec.n}")
     if args.s_size is not None:
         return ctx, spec, args.s_size
     return ctx, spec, required_sample_size(spec.n, spec.k, args.epsilon)
@@ -130,8 +128,8 @@ def _emit(out: Path | None, cert: Certificate, files: dict[str, dict]) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         for name, obj in files.items():
-            (out / name).write_text(_dump(obj), encoding="utf-8")
-        (out / "certificate.json").write_text(text, encoding="utf-8")
+            out.joinpath(name).write_text(_dump(obj), encoding="utf-8")
+        out.joinpath("certificate.json").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0 if cert.passed else 1
 
@@ -156,11 +154,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     ctx, spec, s_size = _run_inputs(args)
-    ok, witness = check_condition(spec)
-    if not ok:
-        print(f"support condition violated by rows {sorted(witness or ())}; "
-              "no full-distance code exists -- use the 'subcode' command", file=sys.stderr)
-        return 1
     result = construct(spec, ctx, s_size, args.seed, args.max_retries)
     cert = certify_mrd(result, check_minors=_check_minors(args, spec.n, spec.k, spec.k))
     return _emit(args.out, cert, {"result.json": {**result.to_obj(), "epsilon": args.epsilon}})
@@ -214,13 +207,6 @@ def _add_spec_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, help="row count (validated against --zeros)")
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _out_dir(text: str) -> Path:
     if not text:  # Path("") is the working directory
         raise argparse.ArgumentTypeError("must name a directory, got an empty path")
@@ -233,7 +219,7 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     size.add_argument("--epsilon", help="target failure bound in (0, 1], e.g. 0.01")
     size.add_argument("--s-size", dest="s_size", type=int, help="explicit sample-set size")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    sub.add_argument("--max-retries", type=_non_negative_int, default=64,
+    sub.add_argument("--max-retries", type=int, default=64,
                      help="redraw budget (default 64)")
 
 
@@ -295,12 +281,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (InfeasiblePattern, RetriesExhausted) as exc:  # verdicts, not input errors
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RetriesExhausted as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

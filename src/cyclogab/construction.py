@@ -57,6 +57,16 @@ class RetriesExhausted(RuntimeError):
     """Every allowed draw produced a degenerate transform or dependent points."""
 
 
+class InfeasiblePattern(ValueError):
+    """The pattern violates the support condition: no full-distance code has it."""
+
+
+def _check_width(ctx: GaloisContext, n: int) -> None:
+    """Refuse n > p - 1 points, which are dependent over Q, with ValueError."""
+    if n > ctx.m:
+        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
+
+
 def _parse_epsilon(epsilon: Union[float, str, Fraction]) -> Fraction:
     """epsilon as an exact Fraction in (0, 1]; anything else raises ValueError.
 
@@ -125,8 +135,7 @@ def sample_points(ctx: GaloisContext, n: int, s_size: int, seed: int) -> tuple[C
     of the transform stays under the paper's (n + k*(k-1)) / s_size.
     """
     _check_sample_size(s_size)
-    if n > ctx.m:
-        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
+    _check_width(ctx, n)
     rng = random.Random(seed)
     return tuple([_element(ctx, [rng.randrange(s_size) for _ in range(ctx.m)])
                   for _ in range(n)])
@@ -142,8 +151,7 @@ def moore_matrix(points: Sequence[CycloElement], rows: int) -> ExactMatrix:
     n = len(points)
     if not 1 <= rows <= ctx.m:
         raise ValueError(f"need 1 <= rows <= {ctx.m} for p={ctx.p}, got {rows}")
-    if n > ctx.m:
-        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={n}")
+    _check_width(ctx, n)
     data = [tuple(points)]
     for _ in range(rows - 1):
         data.append(tuple([x.aut(1) for x in data[-1]]))
@@ -320,19 +328,20 @@ def construct(spec: SupportSpec, ctx: GaloisContext, s_size: int, seed: int,
     the paper's randomized construction, a fallback for the rare patterns
     where the fixed points fail: each single draw succeeds with probability
     at least 1 - (n + k*(k-1)) / s_size.  A non-int (or bool) s_size, seed or
-    max_retries, an s_size outside [1, MAX_SAMPLE_SIZE] and a negative
-    max_retries raise ValueError before any attempt.
+    max_retries, an s_size outside [1, MAX_SAMPLE_SIZE], a negative
+    max_retries and n > p - 1 raise ValueError before any attempt, in that
+    order, and then a pattern that violates the support condition raises
+    InfeasiblePattern (a ValueError) naming its witness rows.
     """
     for name, value in (("s_size", s_size), ("seed", seed), ("max_retries", max_retries)):
         _require_int(name, value)
     _check_sample_size(s_size)
     if max_retries < 0:
         raise ValueError(f"need max_retries >= 0, got {max_retries}")
-    if spec.n > ctx.m:
-        raise ValueError(f"need n <= {ctx.m} for p={ctx.p}, got n={spec.n}")
+    _check_width(ctx, spec.n)
     ok, witness = check_condition(spec)
     if not ok:
-        raise ValueError(
+        raise InfeasiblePattern(
             f"support condition violated by rows {sorted(witness or ())}; "
             "a full-distance code does not exist, build a subcode instead")
     completed = complete_sets(spec)

@@ -374,12 +374,14 @@ class CycloElement:
         return any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.ctx.p == other.ctx.p and self.coeffs == other.coeffs
+        if isinstance(other, CycloElement):
+            return self.ctx.p == other.ctx.p and self.coeffs == other.coeffs
+        if _is_int(other):  # a plain int is a rational element, as in from_rational
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.ctx.p, self.coeffs))
+    def __hash__(self) -> int:  # a rational element hashes as the int it equals
+        return hash((self.ctx.p, self.coeffs) if any(self.coeffs[1:]) else self.coeffs[0])
 
     # -- serialization ------------------------------------------------------
 

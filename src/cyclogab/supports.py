@@ -83,7 +83,7 @@ class _Record:
 
 
 class SupportSpec(_Record):
-    """Zero pattern: k row sets of 1-based column indices inside [1, n]."""
+    """Zero pattern: k <= MAX_ROWS row sets of 1-based column indices inside [1, n]."""
 
     n: int
     k: int
@@ -91,8 +91,11 @@ class SupportSpec(_Record):
     _fields = ("n", "k", "zeros")
 
     def __init__(self, n: int, k: int, zeros: Iterable[Iterable[int]]) -> None:
-        # check the types (plain ints), the shape, the row count and the column range
+        # check the types (plain ints), the bound on k before any row is read,
+        # the shape, the row count and the column range
         n, k = _require_int("n", n), _require_int("k", k)
+        if k > MAX_ROWS:
+            raise ValueError(f"row count {k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
         try:
             rows = [*zeros]
         except TypeError:  # zeros is not iterable
@@ -178,8 +181,6 @@ def _groups(spec: SupportSpec) -> list[tuple[int, tuple[int, ...]]]:
     table holds width^2 / 2 bits, so a union wider than ``_TABLE_WIDTH``
     builds each mask in a bytearray instead, linear in the width.
     """
-    if spec.k > MAX_ROWS:
-        raise ValueError(f"row count {spec.k} exceeds the input bound MAX_ROWS = {MAX_ROWS}")
     rows: dict[frozenset[int], list[int]] = {}
     for i, z in enumerate(spec.zeros, start=1):
         rows.setdefault(z, []).append(i)

@@ -277,12 +277,12 @@ def test_construct_rejects_huge_prime(capsys):
     assert "MAX_CONDUCTOR" in err
 
 
-def test_construct_rejects_negative_retries(capsys, good_spec):
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "--prime", "7", "--zeros", good_spec, "--s-size", "100",
-              "--max-retries", "-1"])
-    assert exc.value.code == 2
-    assert "--max-retries" in capsys.readouterr().err
+def test_construct_rejects_negative_retries(capsys, good_spec, monkeypatch):
+    # construct owns the bound: refused before any attempt, with its message
+    monkeypatch.setattr(cyclogab.construction, "_attempt", None)
+    code, out, err = run(capsys, ["construct", "--prime", "7", "--zeros", good_spec,
+                                  "--s-size", "100", "--max-retries", "-1"])
+    assert (code, out, err) == (2, "", "error: need max_retries >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("mode", ["randomized"])

@@ -97,10 +97,35 @@ def test_context_mismatch_raises(ctx5, ctx7):
 
 @pytest.mark.parametrize("call, expected", [
     (lambda: CONTEXTS[5].one().__sub__("1"), NotImplemented),
-    (lambda: CONTEXTS[5].one().__eq__(1), NotImplemented),
-], ids=["sub-str", "eq-int"])
+    (lambda: CONTEXTS[5].one().__eq__(True), NotImplemented),
+], ids=["sub-str", "eq-bool"])
 def test_element_defers_to_the_other_operand(call, expected):
     assert outcome(call) == expected
+
+
+@pytest.mark.parametrize("p", sorted(CONTEXTS))
+def test_element_compares_with_plain_ints(p):
+    # a plain int is the rational element of from_rational, as for + - *; a bool is not
+    ctx = CONTEXTS[p]
+    assert ctx.one() == 1 and 1 == ctx.one() and ctx.zero() == 0 and 0 == ctx.zero()
+    assert ctx.from_rational(-7) == -7 and ctx.one() != 2 and zeta(ctx, 1) != 0
+    assert len({ctx.one(), 1}) == 1 and len({ctx.from_rational(-7), -7, ctx.one()}) == 2
+    assert ctx.one() != True and not ctx.one() == True  # noqa: E712
+
+
+def _element_or_int():
+    # elements of two conductors, rational elements of three, and plain ints
+    rational = st.tuples(st.sampled_from([3, 5, 7]), small_integers()).map(
+        lambda pv: CONTEXTS[pv[0]].from_rational(pv[1]))
+    return st.one_of(elements(3), elements(5), rational, small_integers())
+
+
+@given(_element_or_int(), _element_or_int())
+@settings(max_examples=300)
+def test_equal_values_hash_alike(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_coefficients_canonical(ctx5):

@@ -40,10 +40,10 @@ def test_bad_counts_refused_at_parse_time(capsys, argv, message):
     # refused before the k empty rows are built, with the CLI's message
     (["--k", "10000000"], "error: row count 10000000 exceeds the input bound MAX_ROWS = 24\n"),
     (["--zeros", "deep.json"], "error: deep.json: JSON nested too deeply\n"),
-    # the CLI's input rules, read through cli._run_inputs
+    # the CLI's input rules, read through cli._run_inputs and the library calls
     (["--zeros", "p63.json", "--k", "5"], "error: --k 5 does not match the pattern file (k=3)\n"),
     (["--zeros", "p63.json", "--n", "9"], "error: --n 9 does not match the pattern file (n=6)\n"),
-    (["--prime", "7", "--n", "8"], "error: need n <= p-1 = 6, got n=8\n"),
+    (["--prime", "7", "--n", "8"], "error: need n <= 6 for p=7, got n=8\n"),
     (["--prime", "12"], "error: conductor must be an odd prime, got 12\n"),
     (["--zeros", "bad-n.json"], "error: bad-n.json: field 'n' must be an integer, got 'x'\n"),
     # refused by the completion, once, before any draw

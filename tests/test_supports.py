@@ -1,8 +1,9 @@
 import json
 from enum import IntEnum
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclogab import (CompletionError, SupportSpec, check_condition, complete_sets,
@@ -68,12 +69,38 @@ def test_required_dimension_examples():
     assert required_dimension(spec) <= spec.k
 
 
+@st.composite
+def wide_specs(draw):
+    # k rows, each zero set a union of up to three column runs of n = 4000,
+    # over a union wider than _TABLE_WIDTH
+    k = draw(st.integers(min_value=2, max_value=5))
+    runs = st.tuples(st.integers(min_value=1, max_value=4000), st.integers(1, 1500))
+    zeros = [set().union(*[range(a, min(a + w, 4001)) for a, w in row])
+             for row in draw(st.lists(st.lists(runs, max_size=3), min_size=k - 1,
+                                      max_size=k - 1))]
+    zeros.append(draw(st.sampled_from(zeros + [set()])))  # repeated zero sets form one group
+    assume(len(set().union(*zeros)) > supports._TABLE_WIDTH)
+    return 4000, k, zeros
+
+
+@given(wide_specs())
+@settings(max_examples=40, deadline=None)
+def test_wide_masks_match_the_table_path(shape):
+    # the bytearray masks of a union wider than _TABLE_WIDTH against the 1 << j table
+    wide = SupportSpec(*shape)
+    with patch.object(supports, "_TABLE_WIDTH", 10 ** 9):
+        table = SupportSpec(*shape)
+        table_groups, table_verdict = supports._groups(table), check_condition(table)
+        table_ell = required_dimension(table)
+    assert supports._groups(wide) == table_groups
+    assert check_condition(wide) == table_verdict
+    assert required_dimension(wide) == table_ell == brute_required_dimension(wide)
+
+
 def test_enumeration_guard():
-    spec = SupportSpec(30, 25, [()] * 25)
-    with pytest.raises(ValueError):
-        check_condition(spec)
-    with pytest.raises(ValueError):
-        required_dimension(spec)
+    # no pattern above MAX_ROWS rows exists, so no check or dimension runs on one
+    with pytest.raises(ValueError, match=r"^row count 25 exceeds the input bound MAX_ROWS = 24$"):
+        SupportSpec(30, 25, [()] * 25)
 
 
 @given(random_specs())
