@@ -113,12 +113,13 @@ def _run_inputs(args: argparse.Namespace) -> tuple[GaloisContext, SupportSpec, i
 
 
 def _check_minors(args: argparse.Namespace, n: int, k: int, ell: int) -> bool:
-    """--check-minors, by default whether the worst case of the sweep that
-    confirms distance n - ell + 1, every s-subset of the columns for
-    s = k..ell (C(n, k) at full distance), fits DEFAULT_MAX_CHECKS."""
+    """--check-minors, by default whether the sweep that confirms distance
+    n - ell + 1, every s-subset of the columns for s = k..ell, fits
+    DEFAULT_MAX_CHECKS; the running total stops at the first term past it."""
     if args.check_minors is not None:
         return args.check_minors
-    return sum(math.comb(n, s) for s in range(k, ell + 1)) <= DEFAULT_MAX_CHECKS
+    totals = itertools.accumulate(math.comb(n, s) for s in range(k, ell + 1))
+    return all(total <= DEFAULT_MAX_CHECKS for total in totals)
 
 
 def _emit(out: Path | None, cert: Certificate, files: dict[str, dict]) -> int:
@@ -219,8 +220,7 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     size.add_argument("--epsilon", help="target failure bound in (0, 1], e.g. 0.01")
     size.add_argument("--s-size", dest="s_size", type=int, help="explicit sample-set size")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    sub.add_argument("--max-retries", type=int, default=64,
-                     help="redraw budget (default 64)")
+    sub.add_argument("--max-retries", type=int, default=64, help="redraw budget (default 64)")
 
 
 def _add_output_args(sub: argparse.ArgumentParser) -> None:

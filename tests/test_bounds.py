@@ -33,12 +33,19 @@ N_BOUND = "need n <= 6 for p=7, got n=8"
 RETRIES = "need max_retries >= 0, got -1"
 INFEASIBLE = ("support condition violated by rows [1, 2]; "
               "a full-distance code does not exist, build a subcode instead")
+UNCOMPLETED = "pattern must satisfy the support condition before completion"
+# required dimension 200001 for the three zero sets of wide.json
+WIDE_L_BOUND = "row count 200001 exceeds the input bound MAX_ROWS = 24"
 
 FILES = {
     "huge.json": {"n": HUGE, "k": HUGE, "zeros": []},
     "huge-result.json": {"context": {"p": 7}, "spec": {"n": HUGE, "k": HUGE, "zeros": []}},
     "infeasible.json": {"n": 4, "k": 2, "zeros": [[1, 2], [1, 2]]},
     "infeasible-wide.json": {"n": 8, "k": 2, "zeros": [[1, 2], [1, 2]]},
+    # infeasible over a union of 399 999 columns: the minor-sweep budget and
+    # the subcode padding must refuse it without a sum over its n
+    "wide.json": {"n": 400_000, "k": 3, "zeros": [
+        list(range(1, 200_000)), list(range(100_000, 300_000)), list(range(200_000, 400_000))]},
 }
 RUN = ["--prime", "7", "--s-size", "100"]
 
@@ -60,8 +67,13 @@ COMMANDS = [
     (["construct", *RUN, "--zeros", "infeasible-wide.json"], 2, f"error: {N_BOUND}"),
     (["subcode", *RUN, "--n", "8", "--k", "3"], 2, f"error: {N_BOUND}"),
     (["subcode", *RUN, "--zeros", "infeasible-wide.json"], 2, f"error: {N_BOUND}"),
+    # subcode pads an infeasible pattern to its required dimension first
+    (["subcode", *RUN, "--zeros", "wide.json"], 2, f"error: {WIDE_L_BOUND}"),
     (["certify", "wide-result.json"], 2, f"error: wide-result.json: {N_BOUND}"),
     (["success_rate.py", "--prime", "7", "--n", "8"], 2, f"error: {N_BOUND}"),
+    # success_rate.py completes the pattern before its first draw reads n
+    (["success_rate.py", "--prime", "7", "--zeros", "infeasible-wide.json"], 2,
+     f"error: {UNCOMPLETED}"),
     # a negative retry budget, owned by construct
     (["construct", *RUN, "--n", "4", "--k", "2", "--max-retries", "-1"], 2, f"error: {RETRIES}"),
     (["subcode", *RUN, "--n", "4", "--k", "2", "--max-retries", "-1"], 2, f"error: {RETRIES}"),
@@ -72,18 +84,25 @@ COMMANDS = [
 ]
 
 
-@pytest.fixture
-def inputs(tmp_path, monkeypatch):
-    """The input files in the working directory, and no draw attempt allowed."""
-    monkeypatch.chdir(tmp_path)
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    """The input files, written once: no refusal writes a file."""
+    path = tmp_path_factory.mktemp("inputs")
     for name, obj in FILES.items():
-        Path(name).write_text(json.dumps(obj), encoding="utf-8")
+        (path / name).write_text(json.dumps(obj), encoding="utf-8")
     # a stored (7, 6, 2) result widened to n = 8 points: the spec and both
     # extra points are well-formed, so only the Moore matrix refuses it
     wide = construct(SupportSpec(6, 2, [(), ()]), CONTEXTS[7], 100, 0).to_obj()
     wide["spec"]["n"] = 8
     wide["points"]["coords"] += [[0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 0]]
-    Path("wide-result.json").write_text(json.dumps(wide), encoding="utf-8")
+    (path / "wide-result.json").write_text(json.dumps(wide), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def inputs(input_dir, monkeypatch):
+    """The input files in the working directory, and no draw attempt allowed."""
+    monkeypatch.chdir(input_dir)
 
     def no_attempt(*args):
         raise AssertionError("a draw attempt was made")

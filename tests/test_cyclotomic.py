@@ -113,6 +113,14 @@ def test_element_compares_with_plain_ints(p):
     assert ctx.one() != True and not ctx.one() == True  # noqa: E712
 
 
+def test_int_equality_is_not_transitive_across_conductors():
+    # an int equals the rational element of each conductor, but elements of
+    # two conductors differ, so a mixed set depends on insertion order
+    a, b = CONTEXTS[3].one(), CONTEXTS[5].one()
+    assert a == 1 == b and a != b and hash(a) == hash(b)
+    assert len({a, 1, b}) == 2 and len({1, a, b}) == 1
+
+
 def _element_or_int():
     # elements of two conductors, rational elements of three, and plain ints
     rational = st.tuples(st.sampled_from([3, 5, 7]), small_integers()).map(
